@@ -35,7 +35,7 @@ from .pragmas import apply_waivers
 STORE_INTERNAL_ATTRS = frozenset({
     "_clauses", "_kinds", "_chains", "_axiom_ids", "_num_axioms",
     "_num_derived", "_num_resolutions", "_empty_id", "_append",
-    "_chain_refs",
+    "_chain_refs", "_require_prior_refs",
 })
 
 #: Recorder methods whose first argument is a phase name.

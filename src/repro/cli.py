@@ -16,7 +16,7 @@ from .aig.aiger import read_auto
 from .baselines.bdd_cec import bdd_check
 from .baselines.monolithic import monolithic_check
 from .core.cec import check_equivalence
-from .core.certify import certify
+from .core.certify import CertificationError, certify
 from .core.fraig import SweepOptions
 from .exit_codes import (
     EXIT_INVALID_INPUT,
@@ -220,7 +220,7 @@ def _to_aag_text(aig):
 
 def _run_remote(args):
     """Route the check through a running repro-serve (``--server``)."""
-    from .core.serialize import result_from_dict
+    from .core.serialize import ResultFormatError, result_from_dict
     from .service.client import ServiceClient, ServiceError
 
     unsupported = []
@@ -278,6 +278,9 @@ def _run_remote(args):
         print("error: server: %s" % exc, file=sys.stderr)
         return (EXIT_INVALID_INPUT if exc.code == "bad-input"
                 else EXIT_UNDECIDED)
+    except ResultFormatError as exc:
+        print("certificate INVALID: %s" % exc, file=sys.stderr)
+        return EXIT_INVALID_INPUT
     except OSError as exc:
         print(
             "error: cannot reach server %s: %s" % (args.server, exc),
@@ -289,7 +292,11 @@ def _run_remote(args):
     if not args.quiet and response.get("cached"):
         print("c served from proof cache (job %s)" % response.get("job"))
     if args.certify and result.equivalent:
-        certify(result, jobs=args.jobs, lint=args.lint)
+        try:
+            certify(result, jobs=args.jobs, lint=args.lint)
+        except CertificationError as exc:
+            print("certificate INVALID: %s" % exc, file=sys.stderr)
+            return EXIT_INVALID_INPUT
         if not args.quiet:
             print("certified: proof replayed successfully")
     if args.stats_json:

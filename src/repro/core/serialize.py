@@ -30,6 +30,7 @@ import io
 from ..aig.aiger import read_aag, write_aag
 from ..aig.miter import Miter
 from ..cnf.clause import CNF
+from ..proof.store import ProofError
 from ..proof.tracecheck import dumps_tracecheck, parse_tracecheck
 from .cec import CecResult
 
@@ -86,7 +87,8 @@ def result_from_dict(payload):
 
     Raises:
         ResultFormatError: on a missing/foreign schema tag or
-            structurally broken payload.
+            structurally broken payload, including an embedded proof,
+            CNF or miter that does not decode.
     """
     if not isinstance(payload, dict):
         raise ResultFormatError("result document must be a dict")
@@ -100,16 +102,25 @@ def result_from_dict(payload):
             raise ResultFormatError("result document missing key %r" % key)
     proof = None
     if payload["proof"] is not None:
-        proof, _ = parse_tracecheck(payload["proof"])
+        try:
+            proof, _ = parse_tracecheck(payload["proof"])
+        except (ProofError, ValueError) as exc:
+            raise ResultFormatError("malformed proof: %s" % exc) from exc
     cnf = None
     if payload["cnf"] is not None:
         block = payload["cnf"]
-        cnf = CNF(num_vars=int(block["num_vars"]))
-        for clause in block["clauses"]:
-            cnf.add_clause(clause)
+        try:
+            cnf = CNF(num_vars=int(block["num_vars"]))
+            for clause in block["clauses"]:
+                cnf.add_clause(clause)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ResultFormatError("malformed cnf: %s" % exc) from exc
     miter = None
     if payload["miter"] is not None:
-        aig = read_aag(io.StringIO(payload["miter"]))
+        try:
+            aig = read_aag(io.StringIO(payload["miter"]))
+        except ValueError as exc:
+            raise ResultFormatError("malformed miter: %s" % exc) from exc
         miter = Miter(aig, map_a=None, map_b=None,
                       output_pairs=None, xor_lits=None)
     counterexample = payload["counterexample"]

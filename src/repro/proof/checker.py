@@ -3,9 +3,13 @@
 The checker trusts nothing from the engines: it replays every derivation
 chain with explicit literal-level resolution, optionally verifies the
 axioms against a reference CNF, and confirms the proof culminates in the
-empty clause. It shares only the tiny :func:`repro.proof.store.resolve`
-primitive with the producer side (and that primitive is itself exercised
-against a second, set-based implementation in the test suite).
+empty clause. It shares two small primitives with the producer side:
+:func:`repro.proof.store.resolve_chain` replays each chain in one pass
+and accepts only what folding :func:`repro.proof.store.resolve` over it
+accepts with the same clause; any other chain is replayed again step by
+step with ``resolve``, which raises, so every rejection reads as before.
+The test suite checks ``resolve`` against a set-based implementation
+and ``resolve_chain`` against ``resolve``.
 
 Each clause's validation depends only on the *stored* antecedent clauses,
 never on the antecedents having been validated first, so clauses can be
@@ -19,7 +23,7 @@ import time
 from typing import Any, Callable, Iterable, Optional, Set
 
 from .store import AXIOM, DERIVED, Chain, Clause, ProofError, ProofStore, \
-    resolve
+    resolve, resolve_chain
 
 
 class CheckResult:
@@ -96,6 +100,8 @@ def check_clause(
                 clause_id=clause_id,
                 rule_id="proof.chain-arity",
             )
+        if _replays_to(clause, clause_id, chain, get_clause):
+            return len(chain) - 1
         _require_prior(chain[0], clause_id, chain)
         current = get_clause(chain[0])
         steps = 0
@@ -176,19 +182,19 @@ def check_proof(
     num_derived = 0
     num_resolutions = 0
     empty_id: Optional[int] = None
-    get_clause = store.clause
+    clauses, kinds, chains = store.tables()
+    get_clause = clauses.__getitem__
     for clause_id in store.ids():
         if budget is not None and clause_id % 256 == 0:
             budget.check()
-        clause = get_clause(clause_id)
-        kind = store.kind(clause_id)
+        clause = clauses[clause_id]
+        kind = kinds[clause_id]
         if kind == AXIOM:
             num_axioms += 1
         else:
             num_derived += 1
         num_resolutions += check_clause(
-            clause_id, clause, kind, store.chain(clause_id), get_clause,
-            allowed,
+            clause_id, clause, kind, chains[clause_id], get_clause, allowed,
         )
         if not clause and empty_id is None:
             empty_id = clause_id
@@ -211,6 +217,35 @@ def prepare_axioms(
     if axioms is None:
         return None
     return {tuple(sorted(set(clause))) for clause in axioms}
+
+
+def _replays_to(
+    clause: Clause,
+    clause_id: int,
+    chain: Chain,
+    get_clause: Callable[[int], Clause],
+) -> bool:
+    """True when *chain* provably replays to *clause*.
+
+    Runs :func:`~repro.proof.store.resolve_chain`, which accepts only
+    what the :func:`resolve` loop in :func:`check_clause` accepts with
+    the same clause. Anything else, including a forward reference or a
+    malformed step, returns false, and that loop raises the exact error.
+    """
+    try:
+        first = chain[0]
+        steps = chain[1:]
+        refs = [ref for _, ref in steps]
+        pivots = [pivot for pivot, _ in steps]
+        if not 0 <= first < clause_id or min(refs) < 0 \
+                or max(refs) >= clause_id:
+            return False
+        replayed = resolve_chain(
+            get_clause(first), map(get_clause, refs), pivots
+        )
+    except (IndexError, TypeError, ValueError):
+        return False
+    return replayed is not None and replayed[0] == clause
 
 
 def _require_prior(

@@ -121,6 +121,66 @@ def resolve(clause_a: Clause, clause_b: Clause, pivot_var: int) -> Clause:
     return tuple(sorted(merged))
 
 
+def resolve_chain(
+    first: Clause,
+    antecedents: Iterable[Clause],
+    pivots: Optional[Iterable[int]] = None,
+) -> Optional[Tuple[Clause, List[int]]]:
+    """Replay a whole trivial resolution chain in one pass.
+
+    The fast path of folding :func:`resolve` over a chain: the running
+    resolvent stays one set for the whole chain, each step reads only
+    the antecedent's literals, and the result is sorted once at the end.
+    Step ``i`` resolves *first*'s running resolvent against
+    ``antecedents[i]`` on ``pivots[i]``; with *pivots* ``None``, each
+    step's pivot is the one variable on which the two clash.
+
+    Returns ``(resolvent, pivot variables)`` only when folding
+    :func:`resolve` from *first* returns that resolvent without raising.
+    On any anomaly it returns ``None`` and leaves the verdict to that
+    fold: no antecedents, a repeated, tautological or zero literal in
+    *first*, a missing, ambiguous or same-phase pivot, or a clash on a
+    second variable (which includes a tautological antecedent).
+    """
+    current = set(first)
+    if len(current) != len(first):
+        return None
+    for lit in first:
+        if -lit in current:
+            return None
+    # ``pivot_lit`` is the antecedent's pivot literal; the running
+    # resolvent holds its negation.
+    used: List[int] = []
+    given = iter(pivots) if pivots is not None else None
+    for other in antecedents:
+        if given is None:
+            # A clash on a second variable surfaces below as a
+            # tautology.
+            for pivot_lit in other:
+                if -pivot_lit in current:
+                    break
+            else:
+                return None
+        else:
+            pivot = next(given)
+            if -pivot in current and pivot in other:
+                pivot_lit = pivot
+            elif pivot in current and -pivot in other:
+                pivot_lit = -pivot
+            else:
+                return None
+        current.remove(-pivot_lit)
+        for lit in other:
+            if lit != pivot_lit:
+                current.add(lit)
+                if -lit in current:
+                    return None
+        used.append(pivot_lit if pivot_lit > 0 else -pivot_lit)
+    if not used:
+        return None
+    return tuple(sorted(current)), used
+
+
 class ProofStore:
     """Container for one resolution proof under construction.
 
@@ -246,14 +306,7 @@ class ProofStore:
                     rule_id="proof.chain-arity",
                     chain=chain,
                 )
-        next_id = len(self._clauses)
-        for ref in self._chain_refs(chain):
-            if not 0 <= ref < next_id:
-                raise ProofError(
-                    "chain references clause %d not yet derived" % ref,
-                    rule_id="proof.forward-ref",
-                    chain=chain,
-                )
+        self._require_prior_refs(chain)
         if self.validate:
             replayed = self.replay_chain(chain)
             if replayed != clause:
@@ -273,14 +326,6 @@ class ProofStore:
 
     def _append(self, clause: Clause, kind: str, chain: Optional[Chain]) -> int:
         clause_id = len(self._clauses)
-        if chain is not None:
-            for ref in self._chain_refs(chain):
-                if not 0 <= ref < clause_id:
-                    raise ProofError(
-                        "chain references clause %d not yet derived" % ref,
-                        rule_id="proof.forward-ref",
-                        chain=chain,
-                    )
         self._clauses.append(clause)
         self._kinds.append(kind)
         self._chains.append(chain)
@@ -301,6 +346,16 @@ class ProofStore:
                 recorder.count("proof/derived")
                 recorder.count("proof/resolutions", steps)
         return clause_id
+
+    def _require_prior_refs(self, chain: Chain) -> None:
+        next_id = len(self._clauses)
+        for ref in self._chain_refs(chain):
+            if not 0 <= ref < next_id:
+                raise ProofError(
+                    "chain references clause %d not yet derived" % ref,
+                    rule_id="proof.forward-ref",
+                    chain=chain,
+                )
 
     @staticmethod
     def _chain_refs(chain: Chain) -> Iterator[int]:
@@ -327,4 +382,6 @@ class ProofStore:
     def derive_resolvent(self, id_a: int, id_b: int, pivot_var: int) -> int:
         """Resolve two stored clauses and record the result. Returns the id."""
         clause = resolve(self._clauses[id_a], self._clauses[id_b], pivot_var)
-        return self._append(clause, DERIVED, [id_a, (pivot_var, id_b)])
+        chain: Chain = [id_a, (pivot_var, id_b)]
+        self._require_prior_refs(chain)
+        return self._append(clause, DERIVED, chain)

@@ -20,7 +20,8 @@ from __future__ import annotations
 import io
 from typing import IO, Dict, List, Tuple, Union
 
-from .store import Chain, Clause, ProofError, ProofStore, resolve
+from .store import Chain, Clause, ProofError, ProofStore, resolve, \
+    resolve_chain
 
 
 def write_tracecheck(
@@ -90,7 +91,22 @@ def read_tracecheck(
 
 
 def parse_tracecheck(text: str) -> Tuple[ProofStore, Dict[int, int]]:
-    """Parse TraceCheck text. See :func:`read_tracecheck`."""
+    """Parse TraceCheck text. See :func:`read_tracecheck`.
+
+    Each chain is replayed once by
+    :func:`~repro.proof.store.resolve_chain`, which takes every pivot to
+    be the one clashing variable. A chain it declines, or one that
+    yields another clause than the line claims, is replayed again step
+    by step with :func:`~repro.proof.store.resolve`, and that replay
+    raises. Accepted traces and errors are exactly those of the
+    step-by-step replay alone.
+
+    Raises:
+        ProofError: on a syntax error, a duplicate or forward id, a
+            step without a unique pivot, or a chain that yields another
+            clause than the line claims.
+        ValueError: on a tautological axiom line.
+    """
     store = ProofStore()
     id_map: Dict[int, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -98,7 +114,7 @@ def parse_tracecheck(text: str) -> Tuple[ProofStore, Dict[int, int]]:
         if not line or line.startswith("c"):
             continue
         try:
-            numbers = [int(token) for token in line.split()]
+            numbers = list(map(int, line.split()))
         except ValueError:
             raise ProofError(
                 "trace line %d is not numeric: %r" % (lineno, raw),
@@ -130,7 +146,7 @@ def parse_tracecheck(text: str) -> Tuple[ProofStore, Dict[int, int]]:
                 rule_id="trace.syntax",
             )
         antecedents = rest[:-1]
-        if any(a == 0 for a in antecedents):
+        if 0 in antecedents:
             raise ProofError(
                 "trace line %d: zero antecedent id" % lineno,
                 rule_id="trace.syntax",
@@ -166,6 +182,12 @@ def _relinearize(
     store: ProofStore, chain_ids: List[int], claimed: List[int], lineno: int
 ) -> Chain:
     """Rebuild the pivot-annotated chain from an antecedent id list."""
+    clauses = store.tables()[0]
+    fast = resolve_chain(
+        clauses[chain_ids[0]], [clauses[ante] for ante in chain_ids[1:]]
+    )
+    if fast is not None and fast[0] == tuple(sorted(set(claimed))):
+        return [chain_ids[0], *zip(fast[1], chain_ids[1:])]
     current: Clause = store.clause(chain_ids[0])
     chain: Chain = [chain_ids[0]]
     for ante in chain_ids[1:]:

@@ -23,7 +23,7 @@ import time
 
 from .. import __version__
 from ..core.certify import CertificationError, certify
-from ..core.serialize import result_from_dict
+from ..core.serialize import ResultFormatError, result_from_dict
 from ..exit_codes import (
     EXIT_INVALID_INPUT,
     EXIT_NEGATIVE,
@@ -258,7 +258,11 @@ def _finish(response, certify_local, stats_json, jobs=None):
     verdict = response.get("verdict")
     cached = " (cached)" if response.get("cached") else ""
     if certify_local:
-        result = result_from_dict(response["result"])
+        try:
+            result = result_from_dict(response["result"])
+        except ResultFormatError as exc:
+            print("certificate INVALID: %s" % exc, file=sys.stderr)
+            return EXIT_INVALID_INPUT
         if result.equivalent is not None:
             try:
                 certify(result, jobs=jobs)

@@ -661,12 +661,24 @@ class CecServer:
         return protocol.ok_response("status", **job.snapshot())
 
     def _handle_result(self, request, send):
+        timeout = request.get("timeout")
+        if timeout is not None and (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, (int, float))
+            or not timeout >= 0
+        ):
+            send(protocol.error_response(
+                protocol.ERR_INVALID_REQUEST,
+                "'timeout' must be a non-negative number or null, not %r"
+                % (timeout,),
+                verb="result",
+            ))
+            return
         job, error = self._get_job(request, "result")
         if error is not None:
             send(error)
             return
         wait = bool(request.get("wait"))
-        timeout = request.get("timeout")
         deadline = None
         if wait and timeout is not None:
             deadline = job.elapsed_seconds() + float(timeout)

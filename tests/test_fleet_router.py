@@ -307,6 +307,19 @@ class TestHealthAndFailover:
         assert counters["fleet/shard-downs"] == 1
         assert counters["fleet/shard-ups"] == 1
 
+    def test_bad_result_timeout_leaves_the_shard_up(self, fleet, adder_pair):
+        with fleet.client() as client:
+            job = client.submit(*adder_pair)["job"]
+            for timeout in ("soon", [1], "later"):
+                with pytest.raises(ServiceError) as excinfo:
+                    client.request({"verb": "result", "job": job,
+                                    "wait": True, "timeout": timeout})
+                assert excinfo.value.code == protocol.ERR_INVALID_REQUEST
+            response = client.result(job, wait=True)
+        assert response["verdict"] == "equivalent"
+        assert fleet.counters().get("fleet/shard-downs", 0) == 0
+        assert len(fleet.router.ring) == 2
+
 
 class TestTelemetry:
     def test_stats_verb_reports_router_counters(self, fleet, adder_pair):

@@ -119,3 +119,24 @@ class TestValidation:
     def test_rejects_non_dict(self):
         with pytest.raises(ResultFormatError):
             result_from_dict([1, 2, 3])
+
+    def test_rejects_a_tampered_proof_chain(self):
+        doc = result_to_dict(equivalent_result())
+        lines = doc["proof"].splitlines()
+        parts = lines[-1].split()
+        del parts[-2]  # the empty clause loses its last antecedent
+        doc["proof"] = "\n".join(lines[:-1] + [" ".join(parts)]) + "\n"
+        with pytest.raises(ResultFormatError, match="malformed proof"):
+            result_from_dict(doc)
+
+    def test_rejects_a_tautological_cnf_clause(self):
+        doc = result_to_dict(equivalent_result())
+        doc["cnf"]["clauses"].append([1, -1])
+        with pytest.raises(ResultFormatError, match="malformed cnf"):
+            result_from_dict(doc)
+
+    def test_rejects_a_broken_miter(self):
+        doc = result_to_dict(equivalent_result())
+        doc["miter"] = "aag x\n"
+        with pytest.raises(ResultFormatError, match="malformed miter"):
+            result_from_dict(doc)

@@ -1,5 +1,6 @@
 """The persistent CEC service: protocol, cache, jobs, server, client."""
 
+import glob
 import io
 import json
 import os
@@ -12,10 +13,12 @@ import time
 
 import pytest
 
+from repro import cli
 from repro.aig.aiger import read_aag, write_aag
 from repro.circuits import kogge_stone_adder, ripple_carry_adder
 from repro.core.certify import certify
 from repro.core.serialize import result_from_dict, result_to_dict
+from repro.exit_codes import EXIT_INVALID_INPUT, EXIT_OK
 from repro.instrument import Recorder
 from repro.instrument.recorder import validate_report
 from repro.service import (
@@ -29,7 +32,7 @@ from repro.service import (
     canonical_options,
     execute_job,
 )
-from repro.service import protocol
+from repro.service import client_cli, protocol
 
 
 def aag_text(aig):
@@ -755,3 +758,102 @@ class TestResultDocumentFromWire:
             _, response = client.check(*adder_pair)
         rebuilt = result_from_dict(response["result"])
         assert result_to_dict(rebuilt) == response["result"]
+
+
+DATA = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), os.pardir, "examples", "data"
+)
+ADD08 = [os.path.join(DATA, "add08_a.aag"), os.path.join(DATA, "add08_b.aag")]
+
+
+def _drop_last_antecedent(document):
+    lines = document["proof"].splitlines()
+    parts = lines[-1].split()
+    del parts[-2]
+    document["proof"] = "\n".join(lines[:-1] + [" ".join(parts)]) + "\n"
+
+
+def _add_tautological_clause(document):
+    document["cnf"]["clauses"].append([1, -1])
+
+
+def _drop_first_proof_axiom(document):
+    first_line = document["proof"].split("\n", 1)[0].split()
+    axiom = sorted(int(token) for token in first_line[1:-2])
+    document["cnf"]["clauses"] = [
+        clause for clause in document["cnf"]["clauses"]
+        if sorted(clause) != axiom
+    ]
+
+
+class TestCorruptCertificateFromCache:
+    """A cache entry corrupted on disk reaches each certifying client
+    as ``certificate INVALID`` and exit 3, never a traceback."""
+
+    @staticmethod
+    def _tamper(server, mutate):
+        (path,) = glob.glob(
+            os.path.join(server.cache.root, "*", "*", "result.json")
+        )
+        with open(path) as handle:
+            document = json.load(handle)
+        mutate(document)
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+
+    @pytest.mark.parametrize(
+        "mutate", [_drop_last_antecedent, _add_tautological_clause],
+    )
+    def test_repro_client_certify_local(self, server, mutate, capsys):
+        argv = ["--server", server.address, "submit", *ADD08, "--wait",
+                "--certify-local"]
+        assert client_cli.main(argv) == EXIT_OK
+        self._tamper(server, mutate)
+        capsys.readouterr()
+        assert client_cli.main(argv) == EXIT_INVALID_INPUT
+        assert "certificate INVALID" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mutate", [_drop_last_antecedent, _add_tautological_clause],
+    )
+    def test_repro_cec_server_certify(self, server, mutate, capsys):
+        argv = [*ADD08, "--server", server.address, "--certify", "--quiet"]
+        assert cli.main(argv) == EXIT_OK
+        self._tamper(server, mutate)
+        capsys.readouterr()
+        assert cli.main(argv) == EXIT_INVALID_INPUT
+        assert "certificate INVALID" in capsys.readouterr().err
+
+    def test_repro_cec_server_rejects_a_foreign_axiom(self, server, capsys):
+        # The document decodes, but its proof refutes another formula.
+        argv = [*ADD08, "--server", server.address, "--certify", "--quiet"]
+        assert cli.main(argv) == EXIT_OK
+        self._tamper(server, _drop_first_proof_axiom)
+        capsys.readouterr()
+        assert cli.main(argv) == EXIT_INVALID_INPUT
+        assert "certificate INVALID" in capsys.readouterr().err
+
+
+class TestResultTimeoutValidation:
+    @pytest.mark.parametrize("timeout", ["soon", [1], -1, True, {"s": 1}])
+    def test_bad_timeout_is_an_invalid_request(
+        self, server, adder_pair, timeout,
+    ):
+        with ServiceClient(server.address) as client:
+            job = client.submit(*adder_pair)["job"]
+            with pytest.raises(ServiceError) as err:
+                client.request({"verb": "result", "job": job, "wait": True,
+                                "timeout": timeout})
+            assert err.value.code == protocol.ERR_INVALID_REQUEST
+            # The connection survives and the job still answers.
+            response = client.result(job, wait=True)
+        assert response["verdict"] == "equivalent"
+
+    @pytest.mark.parametrize("timeout", [None, 0, 2.5, 60])
+    def test_good_timeouts_are_accepted(self, server, adder_pair, timeout):
+        with ServiceClient(server.address) as client:
+            job = client.submit(*adder_pair)["job"]
+            client.result(job, wait=True)
+            response = client.request({"verb": "result", "job": job,
+                                       "wait": True, "timeout": timeout})
+        assert response["verdict"] == "equivalent"
