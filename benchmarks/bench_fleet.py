@@ -23,8 +23,7 @@ the single-shard throughput. On starved runners (fewer than three
 CPUs: two solver workers plus the router/event loop have nothing to
 run on in parallel) the document is honestly labelled
 ``"mode": "fallback"`` with *no* ``speedup`` key instead of
-publishing a fake number — the convention BENCH_refinement.json
-established for the parallel proof checker.
+publishing a fake number.
 """
 
 import argparse

@@ -1,34 +1,24 @@
-"""Performance benchmark: batched refinement and parallel proof checking.
+"""Performance benchmark: batched counterexample refinement.
 
-Two experiments, both runnable as a standalone script (used by the CI
-perf-smoke job) or under the benchmark harness::
+Runnable as a standalone script (used by the CI perf-smoke job) or
+under the benchmark harness::
 
     PYTHONPATH=src python benchmarks/bench_perf_refinement.py --out BENCH_refinement.json
     PYTHONPATH=src python benchmarks/bench_perf_refinement.py --small --out /tmp/b.json
 
-Experiment 1 (refinement): sweep an adder pair with ``sim_words=0`` so
-every candidate class is built purely from counterexample refinement,
-and compare full-AIG simulation passes between the legacy
-one-pattern-per-pass path (``refine_batch=0``), the batched path
-(``refine_batch=1``), and deferred flushing (``refine_batch=4``). The
-batched path must do at least 3x fewer passes at an identical verdict.
+It sweeps an adder pair with ``sim_words=0`` so every candidate class
+is built purely from counterexample refinement, and compares full-AIG
+simulation passes between the legacy one-pattern-per-pass path
+(``refine_batch=0``), the batched path (``refine_batch=1``), and
+deferred flushing (``refine_batch=4``). The batched path must do at
+least 3x fewer passes at an identical verdict.
 
-Experiment 2 (parallel check): replay a synthetic wide resolution proof
-(>= 50k clauses in full mode) sequentially and with ``jobs`` worker
-processes over the shared clause arena, asserting identical results.
-On a multi-CPU host the warm-pool wall-clock speedup is recorded (and
-asserted: never slower than 1.1x sequential, and >= 1.5x for the
-full-size proof); on a single-CPU host the checker falls back to
-sequential replay by design, and the document says so
-(``"mode": "fallback"``) instead of publishing a fake speedup.
-
-The JSON written by ``--out`` embeds the batched sweep's and the
-parallel check's ``repro-stats/1`` reports so CI can validate them.
+The JSON written by ``--out`` embeds the batched sweep's
+``repro-stats/1`` report so CI can validate it.
 """
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -37,8 +27,6 @@ from repro.core.cec import check_equivalence
 from repro.core.fraig import SweepOptions
 from repro.instrument import Recorder
 from repro.instrument.recorder import validate_report
-from repro.proof import ProofStore, check_proof, close_checker_pool, \
-    resolve_jobs
 
 CEX_NEIGHBORS = 4  # each refinement simulates the cex plus 4 neighbours
 REFINE_MODES = [("legacy", 0), ("batched", 1), ("deferred4", 4)]
@@ -92,119 +80,12 @@ def refinement_benchmark(small=False):
     }
 
 
-def synthetic_proof(blocks, width=8):
-    """A wide refutation with *blocks* independent resolution chains.
-
-    Each block derives a unit clause over its own disjoint variables via
-    *width* resolutions; block 0 additionally derives the empty clause.
-    Total size: ``blocks * (2 * width + 1) + 5`` clauses. Returns
-    ``(store, axioms)``.
-    """
-    store = ProofStore()
-    axioms = []
-    for b in range(blocks):
-        base = (width + 2) * b + 1
-        xs = list(range(base, base + width + 1))
-        x = xs[0]
-        big = [x] + xs[1:]
-        first = store.add_axiom(big)
-        axioms.append(big)
-        chain = [first]
-        for k in range(width, 0, -1):
-            clause = [x] + xs[1:k] + [-xs[k]]
-            step = store.add_axiom(clause)
-            axioms.append(clause)
-            chain.append((xs[k], step))
-            store.add_derived(sorted([x] + xs[1:k]), list(chain))
-        if b == 0:
-            neg_a = store.add_axiom([-x, xs[1]])
-            neg_b = store.add_axiom([-x, -xs[1]])
-            axioms += [[-x, xs[1]], [-x, -xs[1]]]
-            neg_unit = store.add_derived([-x], [neg_a, (xs[1], neg_b)])
-            pos_unit = store.add_derived([x], list(chain))
-            store.add_derived([], [pos_unit, (x, neg_unit)])
-    return store, axioms
-
-
-def parallel_check_benchmark(small=False):
-    """Replay one proof sequentially and in parallel; compare verdicts.
-
-    The measurement is honest about the machine it ran on: ``jobs`` is
-    the *request*, ``workers`` what ``resolve_jobs`` clamped it to, and
-    a run where fewer than two CPUs (or workers) are available is
-    labelled ``"mode": "fallback"`` with *no* ``speedup`` key — a
-    single-CPU box replays sequentially by design, and publishing a
-    "parallel" number for it is how the 0.405x baseline happened. The
-    timed parallel run uses a warm pool (the service steady state);
-    pool startup is recorded separately as ``parallel_cold_seconds``.
-    """
-    blocks = 500 if small else 3000
-    jobs = 2 if small else 4
-    store, axioms = synthetic_proof(blocks)
-    cpus = os.cpu_count() or 1
-    workers = resolve_jobs(jobs)
-    parallel_mode = cpus >= 2 and workers >= 2
-    start = time.perf_counter()
-    seq = check_proof(store, axioms=axioms)
-    seq_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    cold = check_proof(store, axioms=axioms, jobs=jobs)
-    cold_seconds = time.perf_counter() - start
-    recorder = Recorder()
-    start = time.perf_counter()
-    par = check_proof(store, axioms=axioms, recorder=recorder, jobs=jobs)
-    par_seconds = time.perf_counter() - start
-    close_checker_pool()
-    for attr in (
-        "num_axioms", "num_derived", "num_resolutions", "empty_clause_id"
-    ):
-        assert getattr(seq, attr) == getattr(par, attr), attr
-        assert getattr(seq, attr) == getattr(cold, attr), attr
-    report = recorder.report()
-    validate_report(report)
-    document = {
-        "clauses": len(store),
-        "resolutions": seq.num_resolutions,
-        "jobs": jobs,
-        "cpus": cpus,
-        "workers": workers,
-        "sequential_seconds": round(seq_seconds, 4),
-        "parallel_cold_seconds": round(cold_seconds, 4),
-        "parallel_seconds": round(par_seconds, 4),
-        "stats": report,
-    }
-    if not parallel_mode:
-        document["mode"] = "fallback"
-        document["fallback"] = report["gauges"].get(
-            "check/parallel_fallback", "cpus"
-        )
-        return document
-    document["mode"] = "parallel"
-    speedup = seq_seconds / max(par_seconds, 1e-9)
-    document["speedup"] = round(speedup, 3)
-    # Guard the 0.405x regression class on any multi-CPU runner; the
-    # full-size proof must additionally hit the acceptance target.
-    assert par_seconds <= 1.1 * seq_seconds, (
-        "parallel replay slower than 1.1x sequential on %d CPUs "
-        "(%.3fs vs %.3fs)" % (cpus, par_seconds, seq_seconds)
-    )
-    if not small:
-        assert speedup >= 1.5, (
-            "jobs=%d on %d CPUs only reached %.2fx (%.3fs vs %.3fs)"
-            % (jobs, cpus, speedup, par_seconds, seq_seconds)
-        )
-    return document
-
-
 def run(small=False):
-    """Run both experiments; returns the combined result document."""
-    refinement = refinement_benchmark(small=small)
-    parallel = parallel_check_benchmark(small=small)
+    """Run the experiment; returns the result document."""
     return {
         "bench": "perf_refinement",
         "mode": "small" if small else "full",
-        "refinement": refinement,
-        "parallel_check": parallel,
+        "refinement": refinement_benchmark(small=small),
     }
 
 
@@ -226,35 +107,28 @@ def test_perf_refinement_smoke(tmp_path):
         notes=[
             "sim-pass ratio legacy/batched: %.1fx"
             % document["refinement"]["sim_pass_ratio"],
-            "parallel check %.3fs vs sequential %.3fs on %d CPUs"
-            % (
-                document["parallel_check"]["parallel_seconds"],
-                document["parallel_check"]["sequential_seconds"],
-                document["parallel_check"]["cpus"],
-            ),
         ],
     )
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        description="Batched-refinement and parallel-check benchmark"
+        description="Batched-refinement benchmark"
     )
     parser.add_argument(
         "--small",
         action="store_true",
-        help="CI-sized configuration (8-bit adders, ~8.5k-clause proof)",
+        help="CI-sized configuration (8-bit adders)",
     )
     parser.add_argument(
         "--out",
         metavar="PATH",
-        help="write the JSON result document (with embedded repro-stats/1 "
-        "reports) to PATH",
+        help="write the JSON result document (with the embedded "
+        "repro-stats/1 report) to PATH",
     )
     args = parser.parse_args(argv)
     document = run(small=args.small)
     refinement = document["refinement"]
-    parallel = document["parallel_check"]
     print(
         "refinement %s: legacy %d passes, batched %d, deferred %d "
         "(%.1fx fewer; %d refinements)"
@@ -267,34 +141,6 @@ def main(argv=None):
             refinement["runs"]["batched"]["refinements"],
         )
     )
-    if parallel["mode"] == "parallel":
-        print(
-            "parallel check: %d clauses, %d resolutions, jobs=%d "
-            "(workers=%d) on %d CPUs: %.3fs vs %.3fs sequential (%.2fx)"
-            % (
-                parallel["clauses"],
-                parallel["resolutions"],
-                parallel["jobs"],
-                parallel["workers"],
-                parallel["cpus"],
-                parallel["parallel_seconds"],
-                parallel["sequential_seconds"],
-                parallel["speedup"],
-            )
-        )
-    else:
-        print(
-            "parallel check: %d clauses on %d CPUs: sequential fallback "
-            "(%s); jobs=%d request replayed in %.3fs vs %.3fs sequential"
-            % (
-                parallel["clauses"],
-                parallel["cpus"],
-                parallel["fallback"],
-                parallel["jobs"],
-                parallel["parallel_seconds"],
-                parallel["sequential_seconds"],
-            )
-        )
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(document, handle, indent=2, sort_keys=True)

@@ -1,12 +1,12 @@
 """AST concurrency-hazard rules for the multi-process stack.
 
-The engine's parallel substrate — handler threads over a locked
-:class:`~repro.service.jobs.JobTable`, forked checker pools, shared-
-memory clause arenas — is exactly where the paper's soundness story
-("every verdict backed by a checkable proof") can break without any
-bad resolution step: a racy mutation, a leaked arena segment, a pool
-that outlives its owner. These rules are the replay-free gate for that
-surface, pure ``ast`` like :mod:`repro.analyze.ast_rules`:
+The service's concurrent substrate — handler threads over a locked
+:class:`~repro.service.jobs.JobTable` and the process pool that runs
+its workers — is exactly where the paper's soundness story ("every
+verdict backed by a checkable proof") can break without any bad
+resolution step: a racy mutation, a leaked shared-memory segment, a
+pool that outlives its owner. These rules are the replay-free gate for
+that surface, pure ``ast`` like :mod:`repro.analyze.ast_rules`:
 
 * ``concurrency.unguarded-mutation`` — in a class that creates a
   ``threading.Lock``/``RLock``, rebinding a private ``self._*``

@@ -110,7 +110,7 @@ SERVICE_REQUEST_KEYS: FrozenSet[str] = frozenset({
     "verb",
     # submit
     "aag_a", "aag_b", "options", "time_limit", "conflict_limit",
-    "certify", "lint", "jobs", "trim", "trace",
+    "certify", "lint", "trim", "trace",
     # status / result / cancel / progress
     "job", "wait", "timeout",
 })

@@ -60,14 +60,6 @@ def build_parser():
         "on error-severity findings before replaying (see repro-lint)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="replay derivation chunks across N worker processes "
-        "(0 = one per CPU; default: sequential). Requests are clamped "
-        "to the CPUs available; single-CPU hosts replay sequentially. "
-        "Parallel and sequential modes accept/reject exactly the same "
-        "proofs",
-    )
-    parser.add_argument(
         "--quiet", action="store_true", help="no statistics output"
     )
     parser.add_argument(
@@ -113,7 +105,7 @@ def _run(args, recorder, budget):
     with recorder.phase("check/read"):
         try:
             store, _ = read_tracecheck(args.trace)
-        except (OSError, ProofError) as exc:
+        except (OSError, UnicodeDecodeError, ProofError) as exc:
             print("error: %s" % exc, file=sys.stderr)
             return EXIT_INVALID_INPUT
     axioms = None
@@ -121,7 +113,7 @@ def _run(args, recorder, budget):
     if args.cnf:
         try:
             formula = read_dimacs(args.cnf)
-        except (OSError, DimacsError) as exc:
+        except (OSError, UnicodeDecodeError, DimacsError) as exc:
             print("error: %s" % exc, file=sys.stderr)
             return EXIT_INVALID_INPUT
         axioms = formula.clauses
@@ -144,7 +136,7 @@ def _run(args, recorder, budget):
     try:
         result = check_proof(
             store, axioms=axioms, require_empty=True, recorder=recorder,
-            budget=budget, jobs=args.jobs,
+            budget=budget,
         )
     except BudgetExhausted as exc:
         print("UNDECIDED: %s" % exc)

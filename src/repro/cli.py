@@ -77,16 +77,6 @@ def build_parser():
         "proof before replaying it (see repro-lint)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="with --certify, replay the proof across N worker "
-        "processes (0 = one per CPU; default: sequential). Requests "
-        "are clamped to the CPUs available, and single-CPU hosts "
-        "replay sequentially rather than fork uselessly",
-    )
-    parser.add_argument(
         "--sim-words",
         type=int,
         default=4,
@@ -293,7 +283,7 @@ def _run_remote(args):
         print("c served from proof cache (job %s)" % response.get("job"))
     if args.certify and result.equivalent:
         try:
-            certify(result, jobs=args.jobs, lint=args.lint)
+            certify(result, lint=args.lint)
         except CertificationError as exc:
             print("certificate INVALID: %s" % exc, file=sys.stderr)
             return EXIT_INVALID_INPUT
@@ -326,26 +316,23 @@ def _dispatch(aig_a, aig_b, args, recorder, budget):
         result = monolithic_check(
             aig_a, aig_b, proof=True, recorder=recorder, budget=budget
         )
-        return _report(
-            result.equivalent, result.counterexample, result.proof,
-            result.cnf, args, recorder=recorder, budget=budget,
-        )
-    options = SweepOptions(sim_words=args.sim_words, seed=args.seed)
-    if args.match_names:
-        from .aig.miter import match_interfaces_by_name
+    else:
+        options = SweepOptions(sim_words=args.sim_words, seed=args.seed)
+        if args.match_names:
+            from .aig.miter import match_interfaces_by_name
 
-        try:
-            aig_b = match_interfaces_by_name(aig_a, aig_b)
-        except ValueError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return EXIT_INVALID_INPUT
-    if args.per_output:
-        return _run_per_output(aig_a, aig_b, options, recorder, budget)
-    result = check_equivalence(
-        aig_a, aig_b, options, recorder=recorder, budget=budget
-    )
+            try:
+                aig_b = match_interfaces_by_name(aig_a, aig_b)
+            except ValueError as exc:
+                print("error: %s" % exc, file=sys.stderr)
+                return EXIT_INVALID_INPUT
+        if args.per_output:
+            return _run_per_output(aig_a, aig_b, options, recorder, budget)
+        result = check_equivalence(
+            aig_a, aig_b, options, recorder=recorder, budget=budget
+        )
     if args.certify and result.equivalent:
-        certify(result, jobs=args.jobs, lint=args.lint)
+        certify(result, lint=args.lint)
         if not args.quiet:
             print("certified: proof replayed successfully")
     return _report(

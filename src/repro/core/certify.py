@@ -14,16 +14,13 @@ class CertificationError(Exception):
     """The result's certificate failed verification."""
 
 
-def certify(result, rup=False, jobs=None, lint=False):
+def certify(result, rup=False, lint=False):
     """Verify the certificate carried by *result*.
 
     Args:
         result: a :class:`~repro.core.cec.CecResult`.
         rup: additionally cross-validate with the reverse-unit-propagation
             checker.
-        jobs: replay the resolution proof across this many worker
-            processes (``0`` = one per CPU, ``None``/``1`` =
-            sequential); see ``repro.proof.parallel``.
         lint: run the replay-free structural linter
             (:func:`repro.analyze.proof_lint.lint_proof`) first and
             reject on any error-severity finding *before* paying for
@@ -62,7 +59,6 @@ def certify(result, rup=False, jobs=None, lint=False):
     try:
         check = check_proof(
             result.proof, axioms=result.cnf.clauses, require_empty=True,
-            jobs=jobs,
         )
     except Exception as exc:
         raise CertificationError("resolution check failed: %s" % exc)

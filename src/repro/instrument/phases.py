@@ -29,10 +29,9 @@ PHASE_REGISTRY: FrozenSet[str] = frozenset({
     "monolithic/encode",
     "monolithic/load",
     "monolithic/solve",
-    # proof/checker.py + proof/parallel.py + check_cli.py
+    # proof/checker.py + check_cli.py
     "check/read",
     "check/replay",
-    "check/parallel-replay",
     # proof/trim.py
     "trim/cone",
     "trim/rebuild",

@@ -1,26 +1,20 @@
 """Resolution proofs: store, checkers, trimming, statistics, DRUP."""
 
-from .arena import ArenaUnsupported, ClauseArena
 from .compress import lower_units
 from .checker import CheckResult, check_clause, check_proof, \
     check_refutation_of
 from .drup import check_rup_proof, write_drup
-from .parallel import CheckerPool, check_proof_parallel, \
-    close_checker_pool, get_checker_pool, resolve_jobs
 from .interpolant import Interpolant, InterpolationError, interpolate, \
     partition_vars
 from .stats import ProofStats, proof_stats
 from .store import AXIOM, DERIVED, ProofError, ProofStore, resolve
 from .tracecheck import dumps_tracecheck, parse_tracecheck, \
     read_tracecheck, write_tracecheck
-from .trim import levelize, needed_ids, trim, trim_ratio
+from .trim import needed_ids, trim, trim_ratio
 
 __all__ = [
     "AXIOM",
-    "ArenaUnsupported",
     "CheckResult",
-    "CheckerPool",
-    "ClauseArena",
     "DERIVED",
     "Interpolant",
     "InterpolationError",
@@ -29,14 +23,9 @@ __all__ = [
     "ProofStore",
     "check_clause",
     "check_proof",
-    "check_proof_parallel",
     "check_refutation_of",
     "check_rup_proof",
-    "close_checker_pool",
     "dumps_tracecheck",
-    "get_checker_pool",
-    "resolve_jobs",
-    "levelize",
     "lower_units",
     "interpolate",
     "needed_ids",

@@ -11,10 +11,10 @@ step with ``resolve``, which raises, so every rejection reads as before.
 The test suite checks ``resolve`` against a set-based implementation
 and ``resolve_chain`` against ``resolve``.
 
-Each clause's validation depends only on the *stored* antecedent clauses,
-never on the antecedents having been validated first, so clauses can be
-checked in any order — the basis of the multiprocessing pipeline in
-:mod:`repro.proof.parallel`, reachable from here via ``jobs=N``.
+Replay is sequential, in id order, so a rejection always names the
+smallest failing clause. The proofs the system produces hold at most a
+few thousand clauses, and a parallel replay measured slower than this
+loop on every one of them (``docs/performance.md``, "One checker").
 """
 
 from __future__ import annotations
@@ -70,10 +70,6 @@ def check_clause(
     allowed: Optional[Set[Clause]],
 ) -> int:
     """Validate one proof clause; returns the resolution steps replayed.
-
-    This is the unit of work shared verbatim by the sequential loop below
-    and the parallel chunk workers, so both modes raise byte-identical
-    :class:`~repro.proof.store.ProofError` messages for the same defect.
 
     Args:
         clause_id: the clause's id (for error reporting and the
@@ -131,7 +127,6 @@ def check_proof(
     require_empty: bool = True,
     recorder: Optional[Any] = None,
     budget: Optional[Any] = None,
-    jobs: Optional[int] = None,
 ) -> CheckResult:
     """Verify every derivation in *store*.
 
@@ -144,21 +139,13 @@ def check_proof(
         require_empty: when true, fail unless some clause is empty.
         recorder: optional
             :class:`~repro.instrument.recorder.Recorder`; records the
-            replay timing (``check/replay``, or ``check/parallel-replay``
-            under *jobs*) plus clause/resolution counters.
+            replay timing (``check/replay``) plus clause/resolution
+            counters.
         budget: optional :class:`~repro.instrument.budget.Budget`,
             consulted every 256 clauses. A checker cannot degrade to a
             partial verdict, so exhaustion raises
             :class:`~repro.instrument.budget.BudgetExhausted` instead of
             returning.
-        jobs: when > 1, replay derivation chunks on the persistent
-            checker pool over a shared clause arena (``0`` means one
-            per CPU); see :mod:`repro.proof.parallel`. The request is
-            clamped to the CPUs available, and single-CPU hosts replay
-            sequentially (the ``check/parallel_fallback`` gauge names
-            the reason). Accepts and rejects exactly the same proofs as
-            the sequential mode, with the same error for the smallest
-            failing clause id. ``None`` or ``1`` checks sequentially.
 
     Returns:
         A :class:`CheckResult`.
@@ -168,16 +155,11 @@ def check_proof(
             (when *require_empty*) missing empty clause.
         BudgetExhausted: when *budget* runs out mid-replay.
     """
-    if jobs is not None and jobs != 1:
-        from .parallel import check_proof_parallel
-
-        return check_proof_parallel(
-            store, axioms=axioms, require_empty=require_empty,
-            recorder=recorder, budget=budget, jobs=jobs,
-        )
     instrumented = recorder is not None and recorder.enabled
     start = time.perf_counter() if instrumented else 0.0
-    allowed = prepare_axioms(axioms)
+    allowed = None if axioms is None else {
+        tuple(sorted(set(clause))) for clause in axioms
+    }
     num_axioms = 0
     num_derived = 0
     num_resolutions = 0
@@ -208,15 +190,6 @@ def check_proof(
         recorder.count("check/clauses", len(store))
         recorder.count("check/resolutions", num_resolutions)
     return CheckResult(num_axioms, num_derived, num_resolutions, empty_id)
-
-
-def prepare_axioms(
-    axioms: Optional[Iterable[Iterable[int]]],
-) -> Optional[Set[Clause]]:
-    """Normalize an axiom iterable into the membership set, or ``None``."""
-    if axioms is None:
-        return None
-    return {tuple(sorted(set(clause))) for clause in axioms}
 
 
 def _replays_to(

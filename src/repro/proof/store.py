@@ -46,10 +46,9 @@ class ProofError(Exception):
 
     Attributes:
         clause_id: id of the offending clause when the failure is
-            attributable to one (``None`` otherwise). The parallel
-            checker uses it to report the *smallest* failing id, making
-            its error deterministic and identical to the sequential
-            checker's.
+            attributable to one (``None`` otherwise). The checker stops
+            at the first failing clause in id order, so this is the
+            smallest failing id.
         rule_id: stable machine-readable identifier of the violated
             invariant (e.g. ``"proof.forward-ref"``). The ids are shared
             with the static linter in :mod:`repro.analyze.proof_lint`, so

@@ -9,7 +9,7 @@ renumbered in a valid derivation order.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
 from .store import AXIOM, Chain, ProofError, ProofStore
 
@@ -78,47 +78,6 @@ def trim(
     if instrumented:
         recorder.add_time("trim/rebuild", time.perf_counter() - start)
     return trimmed, id_map
-
-
-def levelize(store: ProofStore) -> List[List[int]]:
-    """Topologically levelize the store's antecedent DAG.
-
-    Level 0 holds the axioms; a derived clause sits one level above its
-    deepest antecedent. Returns a list of id lists, one per level, each
-    in ascending id order. Clauses *within* a level share no antecedent
-    relation, so their derivations can be replayed independently — the
-    parallel checker's scheduling basis, and the level count (the DAG's
-    critical-path length) bounds how deep any replay dependency chain
-    gets.
-
-    Malformed antecedent references (non-prior ids) are treated as
-    level-0 antecedents rather than raised here: the checker proper
-    reports them with deterministic per-clause errors.
-    """
-    size = len(store)
-    level = [0] * size
-    buckets: List[List[int]] = [[]]
-    chain_of = store.chain
-    for clause_id in range(size):
-        chain = chain_of(clause_id)
-        if chain is None:
-            buckets[0].append(clause_id)
-            continue
-        first = chain[0]
-        depth = level[first] + 1 if 0 <= first < clause_id else 1
-        for _, antecedent_id in chain[1:]:
-            candidate = (
-                level[antecedent_id] + 1
-                if 0 <= antecedent_id < clause_id
-                else 1
-            )
-            if candidate > depth:
-                depth = candidate
-        level[clause_id] = depth
-        while len(buckets) <= depth:
-            buckets.append([])
-        buckets[depth].append(clause_id)
-    return buckets
 
 
 def trim_ratio(store: ProofStore, root_id: Optional[int] = None) -> float:

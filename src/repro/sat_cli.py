@@ -92,7 +92,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         cnf = read_dimacs(args.cnf)
-    except (OSError, DimacsError) as exc:
+    except (OSError, UnicodeDecodeError, DimacsError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID_INPUT
     recorder = Recorder(trace_path=args.trace_events)

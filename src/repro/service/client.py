@@ -200,7 +200,6 @@ class ServiceClient:
         conflict_limit=None,
         certify=False,
         lint=False,
-        jobs=None,
         trim=True,
         trace=None,
     ):
@@ -208,10 +207,6 @@ class ServiceClient:
 
         The response carries ``job`` (the id) and ``cached`` (True when
         the answer was served from the proof cache without running).
-
-        *jobs* (with *certify*) asks the worker to replay the proof on
-        that many checker processes (``0`` = one per CPU; the worker
-        clamps to the CPUs it actually has).
 
         *trace* (a :class:`~repro.instrument.tracing.TraceContext` or
         its wire mapping) threads this client's trace through the
@@ -226,8 +221,6 @@ class ServiceClient:
             "lint": lint,
             "trim": trim,
         }
-        if jobs is not None:
-            message["jobs"] = jobs
         if options:
             message["options"] = options
         if time_limit is not None:

@@ -76,12 +76,6 @@ def build_parser():
         help="with --wait: replay the returned certificate client-side",
     )
     submit.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="with --certify: worker-side proof replay processes "
-        "(0 = one per CPU; the worker clamps to its CPUs and falls "
-        "back to sequential replay on a single-CPU host)",
-    )
-    submit.add_argument(
         "--time-limit", type=float, default=None, metavar="SECONDS",
         help="per-job wall-clock budget",
     )
@@ -251,7 +245,7 @@ def _write_trace_outputs(trace_json, trace_chrome, response):
             handle.write("\n")
 
 
-def _finish(response, certify_local, stats_json, jobs=None):
+def _finish(response, certify_local, stats_json):
     """Common tail of submit --wait / result: print verdict, exit code."""
     if stats_json:
         _write_stats(stats_json, response)
@@ -265,7 +259,7 @@ def _finish(response, certify_local, stats_json, jobs=None):
             return EXIT_INVALID_INPUT
         if result.equivalent is not None:
             try:
-                certify(result, jobs=jobs)
+                certify(result)
             except CertificationError as exc:
                 print("certificate INVALID: %s" % exc, file=sys.stderr)
                 return EXIT_INVALID_INPUT
@@ -386,21 +380,16 @@ def _run(client, args):
                 time_limit=args.time_limit,
                 conflict_limit=args.conflict_limit,
                 certify=args.certify,
-                jobs=args.jobs,
             )
             _write_trace_outputs(
                 args.trace_json, args.trace_chrome, response
             )
-            return _finish(
-                response, args.certify_local, args.stats_json,
-                jobs=args.jobs,
-            )
+            return _finish(response, args.certify_local, args.stats_json)
         submitted = client.submit(
             aag_a, aag_b, options=options,
             time_limit=args.time_limit,
             conflict_limit=args.conflict_limit,
             certify=args.certify,
-            jobs=args.jobs,
         )
         if not args.wait:
             print(submitted["job"])
@@ -408,9 +397,7 @@ def _run(client, args):
         response = client.result(
             submitted["job"], wait=True, on_update=_print_heartbeat,
         )
-        return _finish(
-            response, args.certify_local, args.stats_json, jobs=args.jobs,
-        )
+        return _finish(response, args.certify_local, args.stats_json)
     if args.command == "status":
         if args.follow:
             return _follow_status(client, args.job, args.interval)

@@ -38,7 +38,6 @@ from ..instrument.progress import (
     remove_spool,
 )
 from ..instrument.tracing import merge_trace_documents, new_span_id
-from ..proof.parallel import close_checker_pool
 from . import protocol
 from .cache import ProofCache, cache_key
 from .jobs import DONE, QUEUED, JobTable, QueueFullError
@@ -270,11 +269,6 @@ class CecServer:
         """
         self.shutdown()
         self._executor.shutdown(wait=True)
-        # In-process workers (``--workers 0``) run certify — and hence
-        # the persistent checker pool — in this process; reap it with
-        # the rest of the pools (no-op when no check ever went
-        # parallel, and subprocess workers reap their own at exit).
-        close_checker_pool()
         self._server.server_close()
         # Swap the endpoint out under the lock (close() may race a
         # late metrics_address reader), then close it unlocked.
@@ -459,7 +453,6 @@ class CecServer:
             ),
             "certify": bool(request.get("certify")),
             "lint": bool(request.get("lint")),
-            "jobs": request.get("jobs"),
             "trim": bool(request.get("trim", True)),
             # Worker-side phases become spans of the same trace,
             # parented under this job's root span.

@@ -54,11 +54,8 @@ def execute_job(request):
     (mapping of :class:`SweepOptions` fields), ``time_limit`` /
     ``conflict_limit`` (per-job budget), ``certify`` (replay the proof
     in the worker before answering), ``lint`` (with certify: lint
-    fast-reject first), ``jobs`` (with certify: replay the proof on
-    that many checker processes over the shared clause arena — the
-    persistent pool survives across jobs, so a busy service pays
-    checker startup once per worker, not once per proof), ``trim``
-    (default True: ship the trimmed proof).
+    fast-reject first), ``trim`` (default True: ship the trimmed
+    proof).
 
     An optional ``trace`` field (a :class:`TraceContext` wire mapping)
     threads the submitting client's trace through the worker: every
@@ -117,21 +114,9 @@ def execute_job(request):
         result.proof = trimmed
         result.empty_clause_id = trimmed.find_empty_clause()
     if request.get("certify") and result.equivalent is not None:
-        check_jobs = request.get("jobs")
-        if check_jobs is not None and (
-            not isinstance(check_jobs, int) or isinstance(check_jobs, bool)
-            or check_jobs < 0
-        ):
-            return _error(
-                ERR_BAD_INPUT,
-                "jobs must be a non-negative integer, got %r" % (check_jobs,),
-            )
         try:
             with recorder.phase("service/certify"):
-                certify(
-                    result, jobs=check_jobs,
-                    lint=bool(request.get("lint")),
-                )
+                certify(result, lint=bool(request.get("lint")))
         except CertificationError as exc:
             return _error(ERR_CERTIFY_FAILED, str(exc))
     result.stats = recorder.report(budget=budget)

@@ -15,7 +15,6 @@ with the same message, rule id, clause id and chain.
 """
 
 import contextlib
-import os
 from pathlib import Path
 from unittest import mock
 
@@ -32,12 +31,10 @@ from repro.proof import (
     ProofError,
     check_clause,
     check_proof,
-    check_proof_parallel,
     dumps_tracecheck,
     parse_tracecheck,
     resolve,
 )
-from repro.proof.arena import open_arenas
 from repro.proof.store import resolve_chain
 
 DATA = Path(__file__).resolve().parent.parent / "examples" / "data"
@@ -273,21 +270,6 @@ class TestEntryPointsAgainstReference:
         fast, slow = both_ways(check_proof, store, axioms=cnf)
         assert fast[0] == "ProofError"
         assert fast == slow
-
-    @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
-    def test_corpus_check_proof_parallel(self, name, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        store, cnf, _ = corrupted(name)
-        parallel = outcome(
-            check_proof_parallel, store, axioms=cnf, jobs=2,
-            min_clauses=1, chunk_size=4,
-        )
-        with reference_loop():
-            sequential = outcome(check_proof, store, axioms=cnf)
-        # Worker errors cross the process boundary as (message, rule id,
-        # clause id); the chain stays behind.
-        assert parallel[:4] == sequential[:4]
-        assert open_arenas() == set()
 
     @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
     def test_corpus_through_tracecheck(self, name):

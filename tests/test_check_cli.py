@@ -1,5 +1,7 @@
 """Tests for the repro-checkproof command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.check_cli import main
@@ -8,6 +10,8 @@ from repro.proof import ProofStore, write_tracecheck
 from repro.sat import UNSAT, Solver
 
 CLAUSES = [[1, 2], [1, -2], [-1, 2], [-1, -2]]
+
+DATA = Path(__file__).resolve().parent.parent / "examples" / "data"
 
 
 @pytest.fixture
@@ -45,14 +49,6 @@ class TestValid:
         main([trace, "--quiet"])
         assert "resolutions" not in capsys.readouterr().out
 
-    def test_jobs_flag(self, artifacts, capsys):
-        trace, cnf, _ = artifacts
-        assert main([trace, "--cnf", cnf, "--jobs", "2"]) == 0
-        assert capsys.readouterr().out.startswith("VALID")
-
-    def test_jobs_zero_means_all_cpus(self, artifacts):
-        trace, cnf, _ = artifacts
-        assert main([trace, "--cnf", cnf, "--jobs", "0"]) == 0
 
 
 class TestInvalid:
@@ -62,15 +58,6 @@ class TestInvalid:
         write_dimacs(CNF(clauses=CLAUSES[:2]), str(small))
         assert main([trace, "--cnf", str(small)]) == 1
         assert "INVALID" in capsys.readouterr().out
-
-    def test_foreign_axiom_with_jobs(self, artifacts, capsys):
-        trace, _, tmp_path = artifacts
-        small = tmp_path / "small.cnf"
-        write_dimacs(CNF(clauses=CLAUSES[:2]), str(small))
-        assert main([trace, "--cnf", str(small)]) == 1
-        seq_out = capsys.readouterr().out
-        assert main([trace, "--cnf", str(small), "--jobs", "2"]) == 1
-        assert capsys.readouterr().out == seq_out
 
     def test_corrupted_trace(self, artifacts, capsys):
         trace, _, tmp_path = artifacts
@@ -95,6 +82,30 @@ class TestInvalid:
     def test_bad_cnf_path(self, artifacts):
         trace, _, _ = artifacts
         assert main([trace, "--cnf", "/nonexistent.cnf"]) == 3
+
+    def test_non_utf8_trace_is_invalid_input(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tc"
+        bad.write_bytes(b"\xff\xfe")
+        assert main([str(bad)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_utf8_cnf_is_invalid_input(self, artifacts, capsys):
+        trace, _, tmp_path = artifacts
+        bad = tmp_path / "bad.cnf"
+        bad.write_bytes(b"\xff\xfe")
+        assert main([trace, "--cnf", str(bad)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestBudget:
+    def test_exhausted_time_limit_is_undecided(self, capsys):
+        code = main([
+            str(DATA / "add24_miter.tc"),
+            "--cnf", str(DATA / "add24_miter.cnf"),
+            "--time-limit", "0",
+        ])
+        assert code == 2
+        assert capsys.readouterr().out.startswith("UNDECIDED")
 
 
 class TestEndToEndWithEngine:

@@ -1,10 +1,14 @@
 """Tests for the repro-cec command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.aig import lit_not, write_aag, write_aig
 from repro.circuits import carry_lookahead_adder, ripple_carry_adder
 from repro.cli import build_parser, main
+
+DATA = Path(__file__).resolve().parent.parent / "examples" / "data"
 
 
 @pytest.fixture
@@ -67,14 +71,18 @@ class TestMain:
         assert main([file_a, file_b, "--certify"]) == 0
         assert "certified" in capsys.readouterr().out
 
-    def test_certify_with_jobs(self, circuit_files, capsys):
-        file_a, file_b, _ = circuit_files
-        assert main([file_a, file_b, "--certify", "--jobs", "2"]) == 0
-        assert "certified" in capsys.readouterr().out
-
     def test_monolithic_engine(self, circuit_files, capsys):
         file_a, file_b, _ = circuit_files
         assert main([file_a, file_b, "--engine", "monolithic"]) == 0
+
+    def test_monolithic_engine_certifies(self, capsys):
+        code = main([
+            str(DATA / "add08_a.aag"), str(DATA / "add08_b.aag"),
+            "--engine", "monolithic", "--certify",
+        ])
+        assert code == 0
+        assert "certified: proof replayed successfully" \
+            in capsys.readouterr().out
 
     def test_bdd_engine(self, circuit_files, capsys):
         file_a, file_b, bad = circuit_files

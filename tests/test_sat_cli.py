@@ -47,6 +47,12 @@ class TestVerdicts:
         bad.write_text("not dimacs")
         assert main([str(bad)]) == 3
 
+    def test_non_utf8_file_is_invalid_input(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cnf"
+        bad.write_bytes(b"\xff\xfe")
+        assert main([str(bad)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_budget_unknown(self, tmp_path, capsys):
         # PHP(7) with a 1-conflict budget.
         holes = 6
