@@ -7,14 +7,15 @@ under the benchmark harness::
     PYTHONPATH=src python benchmarks/bench_perf_refinement.py --small --out /tmp/b.json
 
 It sweeps an adder pair with ``sim_words=0`` so every candidate class
-is built purely from counterexample refinement, and compares full-AIG
-simulation passes between the legacy one-pattern-per-pass path
-(``refine_batch=0``), the batched path (``refine_batch=1``), and
-deferred flushing (``refine_batch=4``). The batched path must do at
-least 3x fewer passes at an identical verdict.
+is built purely from counterexample refinement. Each refinement round
+absorbs the counterexample and its distance-1 neighbours with one
+full-AIG simulation pass, so the sweep must take exactly one pass per
+round. ``sim_pass_ratio`` is refinement patterns per pass: the passes a
+one-pattern-per-pass refinement would take, divided by the passes
+taken. It must be at least 3 at an identical verdict.
 
-The JSON written by ``--out`` embeds the batched sweep's
-``repro-stats/1`` report so CI can validate it.
+The JSON written by ``--out`` embeds the sweep's ``repro-stats/1``
+report so CI can validate it.
 """
 
 import argparse
@@ -25,57 +26,43 @@ import time
 from repro.circuits import kogge_stone_adder, ripple_carry_adder
 from repro.core.cec import check_equivalence
 from repro.core.fraig import SweepOptions
-from repro.instrument import Recorder
 from repro.instrument.recorder import validate_report
 
 CEX_NEIGHBORS = 4  # each refinement simulates the cex plus 4 neighbours
-REFINE_MODES = [("legacy", 0), ("batched", 1), ("deferred4", 4)]
-
-
-def _sweep(width, refine_batch):
-    aig_a = ripple_carry_adder(width)
-    aig_b = kogge_stone_adder(width)
-    options = SweepOptions(
-        sim_words=0, cex_neighbors=CEX_NEIGHBORS, refine_batch=refine_batch
-    )
-    start = time.perf_counter()
-    result = check_equivalence(aig_a, aig_b, options)
-    elapsed = time.perf_counter() - start
-    return result, elapsed
 
 
 def refinement_benchmark(small=False):
-    """Compare simulation passes across refinement modes on one pair."""
+    """Count simulation passes and refinement patterns on one pair."""
     width = 8 if small else 16
-    runs = {}
-    for name, refine_batch in REFINE_MODES:
-        result, elapsed = _sweep(width, refine_batch)
-        assert result.equivalent is True, name
-        stats = result.engine.stats
-        runs[name] = {
-            "refine_batch": refine_batch,
-            "sim_passes": stats.sim_passes,
-            "refinements": stats.refinements,
-            "refine_flushes": stats.refine_flushes,
-            "refine_patterns": stats.refine_patterns,
-            "sat_calls": stats.sat_calls,
-            "seconds": round(elapsed, 4),
-        }
-        if refine_batch == 1:
-            validate_report(result.stats)
-            runs[name]["stats"] = result.stats
-    legacy, batched = runs["legacy"], runs["batched"]
-    assert batched["refinements"] == legacy["refinements"]
-    ratio = legacy["sim_passes"] / max(batched["sim_passes"], 1)
+    aig_a = ripple_carry_adder(width)
+    aig_b = kogge_stone_adder(width)
+    options = SweepOptions(sim_words=0, cex_neighbors=CEX_NEIGHBORS)
+    start = time.perf_counter()
+    result = check_equivalence(aig_a, aig_b, options)
+    elapsed = time.perf_counter() - start
+    assert result.equivalent is True
+    validate_report(result.stats)
+    stats = result.engine.stats
+    batched = {
+        "sim_passes": stats.sim_passes,
+        "refinements": stats.refinements,
+        "refine_patterns": stats.refine_patterns,
+        "sat_calls": stats.sat_calls,
+        "seconds": round(elapsed, 4),
+        "stats": result.stats,
+    }
+    # One pass per refinement round (sim_words=0: no initial pass).
+    assert stats.sim_passes == stats.refinements, batched
+    ratio = stats.refine_patterns / max(stats.sim_passes, 1)
     if not small:
         # The full-size pair must exercise the acceptance criterion:
         # >= 50 refinements and >= 3x fewer simulation passes.
-        assert batched["refinements"] >= 50, batched["refinements"]
+        assert stats.refinements >= 50, stats.refinements
     assert ratio >= 3.0, ratio
     return {
         "pair": "rca%d-vs-ks%d" % (width, width),
         "cex_neighbors": CEX_NEIGHBORS,
-        "runs": runs,
+        "runs": {"batched": batched},
         "sim_pass_ratio": round(ratio, 2),
     }
 
@@ -94,19 +81,16 @@ def test_perf_refinement_smoke(tmp_path):
     from conftest import report_table
 
     document = run(small=True)
-    runs = document["refinement"]["runs"]
+    refinement = document["refinement"]
+    batched = refinement["runs"]["batched"]
     report_table(
-        "Perf: batched refinement (pair %s)"
-        % document["refinement"]["pair"],
-        ["mode", "sim passes", "refinements", "flushes", "time(s)"],
-        [
-            [name, r["sim_passes"], r["refinements"], r["refine_flushes"],
-             r["seconds"]]
-            for name, r in runs.items()
-        ],
+        "Perf: batched refinement (pair %s)" % refinement["pair"],
+        ["sim passes", "refinements", "patterns", "time(s)"],
+        [[batched["sim_passes"], batched["refinements"],
+          batched["refine_patterns"], batched["seconds"]]],
         notes=[
-            "sim-pass ratio legacy/batched: %.1fx"
-            % document["refinement"]["sim_pass_ratio"],
+            "refinement patterns per sim pass: %.1fx"
+            % refinement["sim_pass_ratio"],
         ],
     )
 
@@ -129,16 +113,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     document = run(small=args.small)
     refinement = document["refinement"]
+    batched = refinement["runs"]["batched"]
     print(
-        "refinement %s: legacy %d passes, batched %d, deferred %d "
-        "(%.1fx fewer; %d refinements)"
+        "refinement %s: %d patterns in %d passes (%.1fx fewer than one "
+        "pass per pattern; %d refinements)"
         % (
             refinement["pair"],
-            refinement["runs"]["legacy"]["sim_passes"],
-            refinement["runs"]["batched"]["sim_passes"],
-            refinement["runs"]["deferred4"]["sim_passes"],
+            batched["refine_patterns"],
+            batched["sim_passes"],
             refinement["sim_pass_ratio"],
-            refinement["runs"]["batched"]["refinements"],
+            batched["refinements"],
         )
     )
     if args.out:

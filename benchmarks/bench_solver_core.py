@@ -29,11 +29,14 @@ Workloads (all seeded/committed, no randomness):
   for the reference implementation on the baseline run.
 
 Every workload asserts identical verdicts and identical ``SolverStats``
-between the two solvers. The JSON document records per-workload wall
-times, speedups, and core throughput (propagations/sec,
-conflicts/sec). CI replays the small configuration and checks the
-deterministic counts exactly and the throughput within a loose band
-(runner speeds differ; trajectory counts do not).
+between the two solvers. Each side gets one untimed warm-up, then the
+two solvers run back to back within every repeat and each side keeps
+its best-of-N time, so a slow stretch of the host hits both sides. The
+JSON document records per-workload wall times, speedups, and core
+throughput (propagations/sec, conflicts/sec). CI replays the small
+configuration and checks the deterministic counts exactly and the
+throughput within a loose band (runner speeds differ; trajectory
+counts do not).
 
 ``--profile`` is the cProfile harness the hot-path work is driven by:
 it runs the ``solve_add24`` workload under ``cProfile`` and dumps a
@@ -75,17 +78,34 @@ ADD24_STATS = {
 }
 
 
-def _best(fn, repeats):
-    """Best-of-N wall time; returns (seconds, last_result)."""
-    best = None
-    result = None
-    for _ in range(repeats):
+def _timed(fn):
+    """Wrap *fn* so that it returns ``(seconds, result)``."""
+    def run():
         start = time.perf_counter()
         result = fn()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, result
+        return time.perf_counter() - start, result
+    return run
+
+
+def _best_alternating(new_fn, ref_fn, repeats):
+    """Best-of-N wall time per side, the sides alternating per repeat.
+
+    Each callable returns ``(seconds, result)``. Both sides get one
+    untimed warm-up; then every repeat runs the new solver and the
+    reference back to back, so a slow stretch of a shared host lands on
+    both sides instead of one. Returns ``(new_seconds, new_result,
+    ref_seconds, ref_result)``, each result from that side's best run.
+    """
+    new_fn()
+    ref_fn()
+    best = [None, None]
+    results = [None, None]
+    for _ in range(repeats):
+        for side, fn in enumerate((new_fn, ref_fn)):
+            elapsed, result = fn()
+            if best[side] is None or elapsed < best[side]:
+                best[side], results[side] = elapsed, result
+    return best[0], results[0], best[1], results[1]
 
 
 def _stats_dict(stats):
@@ -107,9 +127,10 @@ def _load_clauses(cls, clauses):
 
 
 def load_benchmark(cnf, repeats):
-    new_s, _ = _best(lambda: _load_clauses(Solver, cnf.clauses), repeats)
-    ref_s, _ = _best(
-        lambda: _load_clauses(ReferenceSolver, cnf.clauses), repeats
+    new_s, _, ref_s, _ = _best_alternating(
+        _timed(lambda: _load_clauses(Solver, cnf.clauses)),
+        _timed(lambda: _load_clauses(ReferenceSolver, cnf.clauses)),
+        repeats,
     )
     return {
         "clauses": len(cnf.clauses),
@@ -130,17 +151,11 @@ def _solve_add24(cls, cnf):
 
 
 def solve_benchmark(cnf, repeats):
-    def run(cls):
-        best = None
-        stats = None
-        for _ in range(repeats):
-            elapsed, st = _solve_add24(cls, cnf)
-            if best is None or elapsed < best:
-                best, stats = elapsed, st
-        return best, stats
-
-    new_s, new_stats = run(Solver)
-    ref_s, ref_stats = run(ReferenceSolver)
+    new_s, new_stats, ref_s, ref_stats = _best_alternating(
+        lambda: _solve_add24(Solver, cnf),
+        lambda: _solve_add24(ReferenceSolver, cnf),
+        repeats,
+    )
     new_d, ref_d = _stats_dict(new_stats), _stats_dict(ref_stats)
     assert new_d == ref_d, "trajectory diverged: %r vs %r" % (new_d, ref_d)
     assert new_d == ADD24_STATS, \
@@ -172,11 +187,12 @@ def _solve_with_proof(cls, cnf):
 
 
 def proof_benchmark(cnf, repeats):
-    new_s, (new_text, new_stats) = _best(
-        lambda: _solve_with_proof(Solver, cnf), repeats
-    )
-    ref_s, (ref_text, ref_stats) = _best(
-        lambda: _solve_with_proof(ReferenceSolver, cnf), repeats
+    new_s, (new_text, new_stats), ref_s, (ref_text, ref_stats) = (
+        _best_alternating(
+            _timed(lambda: _solve_with_proof(Solver, cnf)),
+            _timed(lambda: _solve_with_proof(ReferenceSolver, cnf)),
+            repeats,
+        )
     )
     assert new_text == ref_text, "trimmed proofs are not byte-identical"
     assert _stats_dict(new_stats) == _stats_dict(ref_stats)
@@ -211,18 +227,11 @@ def _scan_solve(cls, n, window):
 
 def scan_benchmark(repeats, small):
     n, window = (1200, 40) if small else (2400, 60)
-
-    def run(cls):
-        best = None
-        stats = None
-        for _ in range(repeats):
-            elapsed, st = _scan_solve(cls, n, window)
-            if best is None or elapsed < best:
-                best, stats = elapsed, st
-        return best, stats
-
-    new_s, new_stats = run(Solver)
-    ref_s, ref_stats = run(ReferenceSolver)
+    new_s, new_stats, ref_s, ref_stats = _best_alternating(
+        lambda: _scan_solve(Solver, n, window),
+        lambda: _scan_solve(ReferenceSolver, n, window),
+        repeats,
+    )
     assert _stats_dict(new_stats) == _stats_dict(ref_stats)
     return {
         "vars": n,
@@ -239,18 +248,21 @@ def cec_benchmark(repeats, small):
     aig_a = ripple_carry_adder(width)
     aig_b = kogge_stone_adder(width)
 
+    @_timed
     def run():
         result = check_equivalence(aig_a, aig_b)
         assert result.equivalent is True
         return result
 
-    new_s, _ = _best(run, repeats)
-    original = _fraig.Solver
-    _fraig.Solver = ReferenceSolver
-    try:
-        ref_s, _ = _best(run, repeats)
-    finally:
-        _fraig.Solver = original
+    def run_reference():
+        original = _fraig.Solver
+        _fraig.Solver = ReferenceSolver
+        try:
+            return run()
+        finally:
+            _fraig.Solver = original
+
+    new_s, _, ref_s, _ = _best_alternating(run, run_reference, repeats)
     return {
         "pair": "rca%d-vs-ks%d" % (width, width),
         "new_seconds": round(new_s, 4),

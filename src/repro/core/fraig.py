@@ -13,7 +13,10 @@ The engine implements the modern CEC loop:
 3. Otherwise, if simulation proposes a candidate, run two **assumption
    SAT calls** on the shared incremental solver; UNSAT answers return
    equivalence clauses with resolution derivations, a SAT answer returns
-   a counterexample pattern that refines every class at once.
+   a counterexample pattern that refines every class at once: the
+   pattern (and its distance-1 neighbours, when configured) is absorbed
+   in one resimulation pass and the class table is rebuilt from the
+   processed roots.
 4. Derived equivalence clauses are installed in the solver as premises,
    so later calls get monotonically easier.
 
@@ -34,8 +37,17 @@ from ..sat.solver import SAT, UNKNOWN, UNSAT, Solver
 from .stitch import EquivLemma, StitchError, StructuralStitcher
 
 
+def _is_int(value):
+    """True for an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class SweepOptions:
     """Tuning knobs for the sweeping engine.
+
+    Every field is validated at construction (``ValueError`` on a wrong
+    type or an out-of-range value), so options arriving from a service
+    request are rejected before a job is admitted.
 
     Attributes:
         sim_words: initial random-simulation words (64 patterns each).
@@ -53,16 +65,8 @@ class SweepOptions:
             many single-bit perturbations of the counterexample pattern
             to the simulator (the classic distance-1 trick: neighbours of
             a distinguishing pattern distinguish many other near-misses).
-        refine_batch: refinement batching policy. ``1`` (default) absorbs
-            each counterexample *and* its distance-1 neighbours with one
-            resimulation pass and updates the candidate classes
-            incrementally. ``n > 1`` additionally defers flushing until
-            *n* counterexamples have accumulated, so several SAT
-            disproofs share one pass (a deferred node is registered as a
-            provisional root and may merge later instead). ``0`` is the
-            legacy mode: one full resimulation per pattern and a
-            class-table rebuild over all processed nodes — kept for
-            differential testing and as the benchmark baseline.
+            The counterexample and its neighbours share one resimulation
+            pass.
         max_conflicts: per-call conflict budget (None = unlimited). A
             budget-exhausted candidate is skipped, never mis-merged.
         proof: when false, skip all proof logging (timing baseline).
@@ -77,21 +81,37 @@ class SweepOptions:
         structural_mode="resolution",
         use_simulation=True,
         cex_neighbors=0,
-        refine_batch=1,
         max_conflicts=None,
         proof=True,
         validate_proof=False,
     ):
         if structural_mode not in ("resolution", "sat", "off"):
             raise ValueError("bad structural_mode %r" % structural_mode)
-        if not isinstance(refine_batch, int) or refine_batch < 0:
-            raise ValueError("refine_batch must be a non-negative int")
+        if not _is_int(seed):
+            raise ValueError("seed must be an int, got %r" % (seed,))
+        for name, value in (("sim_words", sim_words),
+                            ("cex_neighbors", cex_neighbors)):
+            if not _is_int(value) or value < 0:
+                raise ValueError(
+                    "%s must be a non-negative int, got %r" % (name, value)
+                )
+        if max_conflicts is not None and (
+            not _is_int(max_conflicts) or max_conflicts < 0
+        ):
+            raise ValueError(
+                "max_conflicts must be None or a non-negative int, got %r"
+                % (max_conflicts,)
+            )
+        for name, value in (("use_simulation", use_simulation),
+                            ("proof", proof),
+                            ("validate_proof", validate_proof)):
+            if not isinstance(value, bool):
+                raise ValueError("%s must be a bool, got %r" % (name, value))
         self.sim_words = sim_words
         self.seed = seed
         self.structural_mode = structural_mode
         self.use_simulation = use_simulation
         self.cex_neighbors = cex_neighbors
-        self.refine_batch = refine_batch
         self.max_conflicts = max_conflicts
         self.proof = proof
         self.validate_proof = validate_proof
@@ -110,12 +130,8 @@ class SweepStats:
         self.sat_calls_sat = 0
         self.sat_calls_unsat = 0
         self.sat_calls_unknown = 0
+        # Refinement rounds, one resimulation pass each.
         self.refinements = 0
-        # Resimulation flushes: how often the simulator actually re-ran
-        # over the whole AIG for refinement (<= refinements when
-        # batching/deferral is on; the initial random-pattern pass is
-        # not counted here).
-        self.refine_flushes = 0
         # Refinement patterns absorbed (counterexamples + neighbours).
         self.refine_patterns = 0
         # Total full-AIG simulation passes, initial pass included
@@ -208,17 +224,10 @@ class SweepEngine:
             self._stitcher = StructuralStitcher(
                 self.proof, self.enc.defining_clauses, self._lemma_of
             )
-        # Candidate classes: normalized signature -> root AIG var.
+        # Candidate classes: normalized signature -> the first processed
+        # root with that signature.
         self._class_table = {}
-        # Normalized signature -> all processed roots sharing it (in
-        # processed order; the class root is the first entry). Kept in
-        # lockstep with _class_table so refinement can split existing
-        # classes instead of re-scanning every processed node.
-        self._class_members = {}
-        # Refinement patterns awaiting one shared resimulation flush.
-        self._pending_patterns = []
-        self._pending_rounds = 0
-        self._refine_batch_seconds = 0.0
+        self._refine_seconds = 0.0
         self._processed = []
         # Reduced structural hashing: (root_lit0, root_lit1) -> AIG var.
         self._reduced_strash = {}
@@ -278,11 +287,6 @@ class SweepEngine:
         if self.options.use_simulation:
             norm, _ = self._norm_signature(var)
             self._class_table.setdefault(norm, var)
-            members = self._class_members.get(norm)
-            if members is None:
-                self._class_members[norm] = [var]
-            else:
-                members.append(var)
 
     def _candidate_for(self, var):
         """Simulation candidate root for *var*, or None.
@@ -302,12 +306,13 @@ class SweepEngine:
         return root, phase ^ root_phase
 
     def _refine(self, model_result):
-        """Queue a counterexample pattern (plus distance-1 neighbours when
-        configured) and flush it according to ``options.refine_batch``.
+        """Absorb a counterexample pattern (plus distance-1 neighbours when
+        configured) with one resimulation pass, then rebuild the class
+        table.
 
-        Returns True when the simulator/class table were refreshed, False
-        when the patterns were deferred to a later shared flush (the
-        caller must then stop retrying the disproved candidate).
+        No node is merged after it is registered as a root, so the table
+        is rebuilt over every processed node: each normalized signature
+        maps to the first processed root that has it.
         """
         bits = [
             model_result.model_value(self.enc.var_of[var])
@@ -322,90 +327,16 @@ class SweepEngine:
             batch.append(flipped)
         self.stats.refinements += 1
         self.stats.refine_patterns += len(batch)
-        if self.options.refine_batch == 0:
-            # Legacy path: one full resimulation per pattern, then a
-            # table rebuild over every processed node.
-            for pattern in batch:
-                self.sim.add_pattern(pattern)
-            self.stats.refine_flushes += 1
-            self._rebuild_class_table()
-            return True
-        self._pending_patterns.extend(batch)
-        self._pending_rounds += 1
-        if self._pending_rounds < self.options.refine_batch:
-            return False
-        self._flush_refinements()
-        return True
-
-    def _flush_refinements(self):
-        """Absorb all queued patterns with one resimulation pass."""
-        if not self._pending_patterns:
-            return
         timing = self.recorder.enabled
         start = time.perf_counter() if timing else 0.0
-        self.sim.add_patterns(self._pending_patterns)
-        self._pending_patterns = []
-        self._pending_rounds = 0
-        self.stats.refine_flushes += 1
-        self._update_class_table()
-        if timing:
-            self._refine_batch_seconds += time.perf_counter() - start
-
-    def _rebuild_class_table(self):
-        """Recompute candidate classes from scratch (legacy refinement)."""
-        if not self.options.use_simulation:
-            return
-        self._class_table = {}
-        self._class_members = {}
-        for var in self._processed:
-            if self.is_root(var):
-                norm, _ = self._norm_signature(var)
-                self._class_table.setdefault(norm, var)
-                members = self._class_members.get(norm)
-                if members is None:
-                    self._class_members[norm] = [var]
-                else:
-                    members.append(var)
-
-    def _update_class_table(self):
-        """Split the existing candidate classes under the new patterns.
-
-        Appending patterns only ever *refines* the partition (old
-        signatures are preserved as low bits, so distinct classes stay
-        distinct), which lets the table be re-derived class by class:
-        singleton classes are re-keyed wholesale and only multi-member
-        classes are regrouped. The result is bit-identical to the legacy
-        full rebuild — within one old class the first processed root of
-        each new signature wins, and new keys originating from different
-        old classes can never collide.
-        """
-        if not self.options.use_simulation:
-            return
+        self.sim.add_patterns(batch)
         table = {}
-        members_map = {}
-        norm_signature = self._norm_signature
-        is_root = self.is_root
-        for old_members in self._class_members.values():
-            if len(old_members) == 1:
-                var = old_members[0]
-                if not is_root(var):
-                    continue
-                norm, _ = norm_signature(var)
-                table[norm] = var
-                members_map[norm] = old_members
-                continue
-            for var in old_members:
-                if not is_root(var):
-                    continue
-                norm, _ = norm_signature(var)
-                group = members_map.get(norm)
-                if group is None:
-                    members_map[norm] = [var]
-                    table[norm] = var
-                else:
-                    group.append(var)
+        for var in self._processed:
+            norm, _ = self._norm_signature(var)
+            table.setdefault(norm, var)
         self._class_table = table
-        self._class_members = members_map
+        if timing:
+            self._refine_seconds += time.perf_counter() - start
 
     # ------------------------------------------------------------------
     # SAT-based equivalence proof
@@ -652,11 +583,10 @@ class SweepEngine:
             stats.nodes_processed += 1
             if progress is not None:
                 progress.update_sweep(
-                    wave=stats.refine_flushes,
+                    wave=stats.refinements,
                     nodes_processed=stats.nodes_processed,
                     nodes_total=nodes_total,
                     classes=len(self._class_table),
-                    class_members=len(self._class_members),
                 )
                 progress.tick(self.solver.stats)
             t0 = clock() if timing else 0.0
@@ -706,16 +636,10 @@ class SweepEngine:
                     break
                 # SAT model: refine classes and retry with the new table.
                 t0 = clock() if timing else 0.0
-                flushed = self._refine(outcome)
+                self._refine(outcome)
                 if timing:
                     sim_s += clock() - t0
-                rec.event("refine", var=var, flushed=flushed,
-                          patterns=self.sim.num_patterns)
-                if not flushed:
-                    # Deferred flush: the stale table would re-propose
-                    # the disproved candidate, so register the node as a
-                    # provisional root and move on.
-                    break
+                rec.event("refine", var=var, patterns=self.sim.num_patterns)
             if not merged:
                 self._register_root(var)
                 f0, f1 = self.aig.fanins(var)
@@ -723,13 +647,6 @@ class SweepEngine:
                 if p < q:
                     p, q = q, p
                 self._reduced_strash.setdefault((p, q), var)
-        # Absorb any still-deferred counterexamples so downstream
-        # consumers (cec's counterexample extraction, class queries) see
-        # every pattern the SAT calls produced.
-        t0 = clock() if timing else 0.0
-        self._flush_refinements()
-        if timing:
-            sim_s += clock() - t0
         self._swept = True
         stats.sim_passes = self.sim.num_resimulations
         stats.sweep_seconds = clock() - start
@@ -744,8 +661,8 @@ class SweepEngine:
             rec.add_time("sweep/strash", strash_s)
             rec.add_time("sweep/sat", sat_s)
             rec.add_time("sweep/total", stats.sweep_seconds)
-            rec.add_time("sweep/refine-batch", self._refine_batch_seconds,
-                         count=max(stats.refine_flushes, 1))
+            rec.add_time("sweep/refine-batch", self._refine_seconds,
+                         count=max(stats.refinements, 1))
             rec.count("sweep/nodes", stats.nodes_processed)
             rec.count("sweep/structural_merges", stats.structural_merges)
             rec.count("sweep/sat_merges", stats.sat_merges)
@@ -755,7 +672,6 @@ class SweepEngine:
             rec.count("sweep/sat_calls_unsat", stats.sat_calls_unsat)
             rec.count("sweep/sat_calls_unknown", stats.sat_calls_unknown)
             rec.count("sweep/refinements", stats.refinements)
-            rec.count("sweep/refine_flushes", stats.refine_flushes)
             rec.count("sweep/refine_patterns", stats.refine_patterns)
             rec.count("sweep/sim_passes", stats.sim_passes)
             rec.count("sweep/skipped_candidates", stats.skipped_candidates)

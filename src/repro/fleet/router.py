@@ -104,8 +104,6 @@ class FleetRouter:
         shards: backend ``repro-serve`` addresses (>= 1; must not
             contain ``@``, which delimits routed job ids).
         replicas: ring points per shard (see :class:`HashRing`).
-        cache_fetch: enable the cross-shard cache transfer before
-            forwarding a submit (disable to measure its effect).
         health_interval: seconds between background shard pings.
         down_after: consecutive failures that mark a shard down.
         shard_timeout: seconds allowed per shard connect/response line.
@@ -120,7 +118,6 @@ class FleetRouter:
         address,
         shards,
         replicas=DEFAULT_REPLICAS,
-        cache_fetch=True,
         health_interval=DEFAULT_HEALTH_INTERVAL,
         down_after=DEFAULT_DOWN_AFTER,
         shard_timeout=DEFAULT_SHARD_TIMEOUT,
@@ -139,7 +136,6 @@ class FleetRouter:
         self.address = address
         self.shards = {address: ShardState(address) for address in shards}
         self.ring = HashRing(self.shards, replicas=replicas)
-        self.cache_fetch = cache_fetch
         self.health_interval = health_interval
         self.down_after = down_after
         self.shard_timeout = shard_timeout
@@ -419,7 +415,7 @@ class FleetRouter:
             route_span_id = new_span_id()
             message["trace"] = context.child(route_span_id).to_wire()
         spans = []
-        if self.cache_fetch and len(order) > 1:
+        if len(order) > 1:
             transfer_span = await self._fetch_across_shards(key, order)
             if transfer_span is not None and context is not None:
                 transfer_span.update(

@@ -7,7 +7,7 @@ Examples::
         --metrics 127.0.0.1:9200
 
     repro-router --listen /tmp/cec-router.sock \\
-        --shard /tmp/cec-a.sock --shard /tmp/cec-b.sock --no-cache-fetch
+        --shard /tmp/cec-a.sock --shard /tmp/cec-b.sock
 
 Clients talk to the router exactly as they would to one
 ``repro-serve`` (``repro-client --connect 127.0.0.1:7700 ...``); the
@@ -76,10 +76,6 @@ def build_parser():
         help="per-line timeout talking to a shard (default %(default)s)",
     )
     parser.add_argument(
-        "--no-cache-fetch", action="store_true",
-        help="disable the cross-shard cache transfer before submits",
-    )
-    parser.add_argument(
         "--metrics", metavar="HOST:PORT",
         help="serve Prometheus /metrics on this address",
     )
@@ -124,7 +120,6 @@ def main(argv=None):
             args.listen,
             args.shards,
             replicas=args.replicas,
-            cache_fetch=not args.no_cache_fetch,
             health_interval=args.health_interval,
             down_after=args.down_after,
             shard_timeout=args.timeout,

@@ -8,7 +8,8 @@ counters at the hot path's existing checkpoints and emits periodic
 ``repro-progress/1`` heartbeat documents — conflicts / decisions /
 propagations deltas and rates, restart count, sweep wave and
 candidate-class counts, the fraction of the cooperative budget already
-consumed, and a crude hardness-informed ETA band.
+consumed, and, when a budget is attached, an ETA band extrapolated
+from that fraction.
 
 Two contracts shape the design:
 
@@ -31,14 +32,11 @@ benchmark ``benchmarks/bench_observability_overhead.py`` prices the
 enabled tick path and holds it under the same <3% budget as the
 disabled hooks.
 
-The ETA heuristic follows the observation of Semenov et al.
-(arXiv 2210.01484) that early search statistics predict SAT hardness:
-with a budget attached, remaining time is extrapolated linearly from
-the budget fraction already consumed (the band tightens as the
-fraction grows); without one, the band is anchored on the run's own
-age — a run that has already survived *t* seconds is expected to need
-on the order of *t* more — widened when the recent conflict rate is
-decaying relative to the lifetime average (the search is hardening).
+The ETA band needs a budget: remaining time is extrapolated linearly
+from the budget fraction already consumed, and the band tightens as the
+fraction grows. Without a budget no band is given (``eta_seconds`` is
+null); a band calibrated on early search statistics, after Semenov et
+al. (arXiv 2210.01484), is not implemented.
 """
 
 from __future__ import annotations
@@ -94,40 +92,30 @@ class SearchStats(Protocol):
 def estimate_eta_band(
     elapsed: float,
     budget_fraction: Optional[float] = None,
-    rate_trend: Optional[float] = None,
 ) -> Optional[Tuple[float, float]]:
-    """Crude remaining-time band ``(low, high)`` in seconds.
+    """Remaining-time band ``(low, high)`` in seconds.
 
     Args:
         elapsed: seconds the search has already run.
         budget_fraction: fraction of the attached budget consumed
             (``None`` when no budget is attached).
-        rate_trend: recent conflict rate divided by the lifetime
-            average (< 1 means the search is slowing down).
 
     Returns:
-        ``(low, high)`` seconds remaining, or ``None`` when the run is
-        too young to say anything (:data:`MIN_ETA_ELAPSED`).
+        ``(low, high)`` seconds remaining, or ``None`` when no budget
+        fraction is known or the run is too young to say anything
+        (:data:`MIN_ETA_ELAPSED`).
     """
-    if elapsed < MIN_ETA_ELAPSED:
+    if (elapsed < MIN_ETA_ELAPSED or budget_fraction is None
+            or budget_fraction <= 0.0):
         return None
-    if budget_fraction is not None and budget_fraction > 0.0:
-        fraction = min(1.0, budget_fraction)
-        if fraction >= 1.0:
-            return (0.0, 0.0)
-        # Linear extrapolation from the consumed fraction; the spread
-        # collapses toward x1 as the budget nears exhaustion.
-        remaining = elapsed * (1.0 - fraction) / fraction
-        spread = 1.0 + 2.0 * (1.0 - fraction)
-        return (remaining / spread, remaining * spread)
-    # No budget: anchor on the run's own age (heavy-tailed SAT
-    # runtimes make "about as long again" the honest point estimate),
-    # stretched when the conflict rate is decaying.
-    low = 0.5 * elapsed
-    high = 3.0 * elapsed
-    if rate_trend is not None and rate_trend > 0.0:
-        high *= min(4.0, max(1.0, 1.0 / rate_trend))
-    return (low, high)
+    fraction = min(1.0, budget_fraction)
+    if fraction >= 1.0:
+        return (0.0, 0.0)
+    # Linear extrapolation from the consumed fraction; the spread
+    # collapses toward x1 as the budget nears exhaustion.
+    remaining = elapsed * (1.0 - fraction) / fraction
+    spread = 1.0 + 2.0 * (1.0 - fraction)
+    return (remaining / spread, remaining * spread)
 
 
 class ProgressTracker:
@@ -204,7 +192,6 @@ class ProgressTracker:
         nodes_processed: int,
         nodes_total: int,
         classes: int,
-        class_members: int,
     ) -> None:
         """Record sweep-side gauges (wave and candidate-class counts).
 
@@ -215,7 +202,6 @@ class ProgressTracker:
             "nodes_processed": nodes_processed,
             "nodes_total": nodes_total,
             "classes": classes,
-            "class_members": class_members,
         }
 
     # ------------------------------------------------------------------
@@ -261,12 +247,8 @@ class ProgressTracker:
         rates = {
             name: deltas[name] / window for name in COUNTER_NAMES
         }
-        lifetime_rate = counters["conflicts"] / max(1e-9, elapsed)
-        trend: Optional[float] = None
-        if self.seq > 0 and lifetime_rate > 0.0:
-            trend = rates["conflicts"] / lifetime_rate
         fraction = self.budget_fraction()
-        eta = estimate_eta_band(elapsed, fraction, trend)
+        eta = estimate_eta_band(elapsed, fraction)
         self.seq += 1
         document: Dict[str, Any] = {
             "schema": PROGRESS_SCHEMA,

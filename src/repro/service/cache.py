@@ -34,7 +34,7 @@ from ..analyze.schemas import CACHE_META_SCHEMA
 #: the artifact; they are folded into the cache key in canonical form.
 OPTION_FIELDS = (
     "sim_words", "seed", "structural_mode", "use_simulation",
-    "cex_neighbors", "refine_batch", "max_conflicts", "proof",
+    "cex_neighbors", "max_conflicts", "proof",
     "validate_proof",
 )
 

@@ -134,6 +134,21 @@ class TestRouting:
                 client.status("j000001")
         assert excinfo.value.code == protocol.ERR_UNKNOWN_JOB
 
+    @pytest.mark.parametrize("options", [
+        {"refine_batch": 1},
+        {"sim_words": "4"},
+        {"cex_neighbors": -2},
+    ], ids=["removed", "str-words", "neg-neighbors"])
+    def test_bad_options_rejected_at_submit(self, fleet, adder_pair,
+                                            options):
+        with fleet.client() as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(*adder_pair, options=options)
+        assert excinfo.value.code == protocol.ERR_BAD_INPUT
+        counters = fleet.counters()
+        assert counters["fleet/jobs-rejected"] == 1
+        assert "fleet/jobs-routed" not in counters
+
     def test_unknown_verb_is_rejected(self, fleet):
         with fleet.client() as client:
             with pytest.raises(ServiceError) as excinfo:

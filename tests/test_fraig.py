@@ -33,6 +33,35 @@ class TestOptions:
         assert options.structural_mode == "resolution"
         assert options.use_simulation
 
+    @pytest.mark.parametrize("field,value", [
+        ("sim_words", "4"),
+        ("sim_words", -1),
+        ("sim_words", 1.0),
+        ("sim_words", True),
+        ("cex_neighbors", -2),
+        ("cex_neighbors", "4"),
+        ("seed", "2007"),
+        ("seed", 1.5),
+        ("seed", False),
+        ("max_conflicts", "5"),
+        ("max_conflicts", -1),
+        ("max_conflicts", True),
+        ("use_simulation", 1),
+        ("proof", "yes"),
+        ("validate_proof", None),
+    ])
+    def test_rejects_wrong_type_or_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SweepOptions(**{field: value})
+
+    def test_accepts_boundary_values(self):
+        options = SweepOptions(
+            sim_words=0, cex_neighbors=0, seed=-3, max_conflicts=0,
+            use_simulation=False, proof=False, validate_proof=True,
+        )
+        assert options.max_conflicts == 0
+        assert SweepOptions(max_conflicts=None).max_conflicts is None
+
 
 class TestSweepBasics:
     def test_output_merges_to_constant_on_equivalence(self):

@@ -73,17 +73,9 @@ class TestEtaBand:
         assert (high_b - low_b) < (high_a - low_a)
         assert estimate_eta_band(10.0, budget_fraction=1.0) == (0.0, 0.0)
 
-    def test_lindy_band_without_budget(self):
-        low, high = estimate_eta_band(4.0)
-        assert low == pytest.approx(2.0)
-        assert high == pytest.approx(12.0)
-
-    def test_decaying_rate_widens_the_band(self):
-        _, steady = estimate_eta_band(4.0, rate_trend=1.0)
-        _, slowing = estimate_eta_band(4.0, rate_trend=0.5)
-        _, cliff = estimate_eta_band(4.0, rate_trend=0.01)
-        assert slowing == pytest.approx(2.0 * steady)
-        assert cliff == pytest.approx(4.0 * steady)  # capped at 4x
+    def test_no_band_without_budget(self):
+        assert estimate_eta_band(10.0) is None
+        assert estimate_eta_band(10.0, budget_fraction=0.0) is None
 
 
 class TestProgressTracker:
@@ -140,6 +132,19 @@ class TestProgressTracker:
         assert second["meta"] == {"tool": "test"}
         assert first["phase"] == "solve"
 
+    def test_heartbeat_without_budget_has_null_eta(self):
+        clock = FakeClock()
+        docs = []
+        tracker = ProgressTracker(
+            docs.append, interval_seconds=0.0, clock=clock,
+            ticks_per_check=1,
+        )
+        for conflicts in (10, 12):
+            clock.now += 2.0
+            tracker.tick(FakeStats(conflicts=conflicts))
+        assert [doc["eta_seconds"] for doc in docs] == [None, None]
+        assert "eta " not in format_heartbeat(docs[-1])
+
     def test_budget_fraction_takes_the_tightest_axis(self):
         budget = Budget(time_limit=1000.0, conflict_limit=100)
         budget.conflicts = 50
@@ -158,8 +163,7 @@ class TestProgressTracker:
         )
         tracker.phase = "sweep"
         tracker.update_sweep(
-            wave=2, nodes_processed=10, nodes_total=40,
-            classes=3, class_members=7,
+            wave=2, nodes_processed=10, nodes_total=40, classes=3,
         )
         clock.now += 1.0
         tracker.tick(FakeStats())
@@ -167,7 +171,7 @@ class TestProgressTracker:
         assert doc["phase"] == "sweep"
         assert doc["sweep"] == {
             "wave": 2, "nodes_processed": 10, "nodes_total": 40,
-            "classes": 3, "class_members": 7,
+            "classes": 3,
         }
 
     def test_broken_sink_is_swallowed(self):

@@ -1,17 +1,19 @@
 """Differential tests for batched counterexample refinement.
 
-The batched refinement path (``SweepOptions.refine_batch >= 1``) must be
-observationally identical to the legacy one-pattern-per-resimulation
-path (``refine_batch=0``): same verdicts, same simulator signatures,
-same candidate class tables — while performing strictly fewer full-AIG
-simulation passes. Deferred flushing (``refine_batch > 1``) may explore
-a different merge order, so there only verdicts and proof validity are
-compared.
+The sweep engine absorbs each counterexample and its distance-1
+neighbours with one resimulation pass and then rebuilds the candidate
+class table. The reference is the one-pattern-per-pass path, replayed
+here: a fresh :class:`Simulator` with the engine's seed is fed the
+engine's refinement patterns one :meth:`~Simulator.add_pattern` at a
+time, and the class table is recomputed from the processed roots. The
+engine's signatures and class table must match it exactly, while the
+engine performs one simulation pass per refinement round.
 """
 
 import pytest
 
 from repro.aig import lit_not
+from repro.aig.simulate import Simulator
 from repro.circuits import (
     alu,
     alu_mux_first,
@@ -42,60 +44,98 @@ PAIRS = [
 ]
 
 
-def _options(refine_batch, **overrides):
-    base = dict(sim_words=0, cex_neighbors=3, refine_batch=refine_batch)
+def _options(**overrides):
+    base = dict(sim_words=0, cex_neighbors=3)
     base.update(overrides)
     return SweepOptions(**base)
+
+
+def _one_pattern_per_pass(engine):
+    """Replay the engine's refinement one pattern per simulation pass.
+
+    Returns the reference simulator and the normalized signature of
+    every processed root under it, in processed order.
+    """
+    options = engine.options
+    reference = Simulator(
+        engine.aig, num_words=options.sim_words, seed=options.seed
+    )
+    for k in range(reference.num_patterns, engine.sim.num_patterns):
+        reference.add_pattern(engine.sim.pattern(k))
+    mask = reference.mask
+    norms = []
+    for var in engine._processed:
+        sig = reference.signatures[var]
+        norms.append(sig ^ mask if sig & 1 else sig)
+    return reference, norms
+
+
+def _assert_matches_reference(engine):
+    reference, norms = _one_pattern_per_pass(engine)
+    table = {}
+    for norm, var in zip(norms, engine._processed):
+        table.setdefault(norm, var)
+    assert engine.sim.num_patterns == reference.num_patterns
+    assert engine.sim.signatures == reference.signatures
+    assert engine._class_table == table
+    initial = engine.options.sim_words * Simulator.WORD_BITS
+    assert engine.stats.refine_patterns == reference.num_patterns - initial
+    return reference, norms
 
 
 @pytest.mark.parametrize("name,build", PAIRS, ids=[p[0] for p in PAIRS])
 class TestBatchedMatchesLegacy:
     def test_bit_identical_state_and_verdict(self, name, build):
         aig_a, aig_b = build()
-        legacy = check_equivalence(aig_a, aig_b, _options(0))
-        batched = check_equivalence(aig_a, aig_b, _options(1))
-        assert legacy.equivalent is batched.equivalent is True
-        eng_l, eng_b = legacy.engine, batched.engine
-        assert eng_l.sim.signatures == eng_b.sim.signatures
-        assert eng_l.sim.num_patterns == eng_b.sim.num_patterns
-        assert eng_l._class_table == eng_b._class_table
-        assert eng_l.stats.refinements == eng_b.stats.refinements
-        certify(legacy)
-        certify(batched)
+        result = check_equivalence(aig_a, aig_b, _options())
+        assert result.equivalent is True
+        _assert_matches_reference(result.engine)
+        certify(result)
 
     def test_batched_does_fewer_simulation_passes(self, name, build):
         aig_a, aig_b = build()
-        legacy = check_equivalence(aig_a, aig_b, _options(0))
-        batched = check_equivalence(aig_a, aig_b, _options(1))
-        if legacy.engine.stats.refinements == 0:
+        result = check_equivalence(aig_a, aig_b, _options())
+        stats = result.engine.stats
+        if stats.refinements == 0:
             pytest.skip("pair produced no refinements")
-        # Legacy pays one pass per pattern (cex + 3 neighbours); batched
-        # pays exactly one pass per refinement round.
-        assert (
-            batched.engine.stats.sim_passes
-            < legacy.engine.stats.sim_passes
-        )
-        # With sim_words=0 there is no initial random pass, so every
-        # pass is one refinement flush.
-        assert (
-            batched.engine.stats.sim_passes
-            == batched.engine.stats.refine_flushes
-        )
+        reference, _ = _assert_matches_reference(result.engine)
+        # The reference pays one pass per pattern (cex + 3 neighbours);
+        # the engine pays one pass per refinement round. With
+        # sim_words=0 there is no initial random pass.
+        assert reference.num_resimulations == stats.refine_patterns
+        assert stats.sim_passes == stats.refinements
+        assert stats.sim_passes < reference.num_resimulations
 
-    def test_deferred_flush_same_verdict(self, name, build):
-        aig_a, aig_b = build()
-        deferred = check_equivalence(aig_a, aig_b, _options(4))
-        assert deferred.equivalent is True
-        certify(deferred)
+
+class TestSkippedCandidates:
+    def test_multi_member_classes_match_reference(self):
+        # A tiny per-call conflict budget skips candidates, so some
+        # processed roots keep sharing a signature with their class
+        # root and the table has classes with more than one member.
+        # sim_words=1 also puts random patterns ahead of the
+        # refinement patterns.
+        aig_a, aig_b = ripple_carry_adder(8), carry_lookahead_adder(8)
+        result = check_equivalence(
+            aig_a, aig_b, _options(sim_words=1, max_conflicts=2)
+        )
+        assert result.equivalent is True
+        engine = result.engine
+        assert engine.stats.skipped_candidates > 0
+        assert engine.stats.refinements > 0
+        _, norms = _assert_matches_reference(engine)
+        assert len(set(norms)) < len(norms)
+        certify(result)
 
 
 class TestNonEquivalentPairs:
-    @pytest.mark.parametrize("refine_batch", [0, 1, 4])
-    def test_fault_detected_in_every_mode(self, refine_batch):
+    @pytest.mark.parametrize("cex_neighbors", [0, 1, 4])
+    def test_fault_detected_in_every_mode(self, cex_neighbors):
         aig_a = ripple_carry_adder(4)
         aig_b = ripple_carry_adder(4).copy()
         aig_b.set_output(2, lit_not(aig_b.outputs[2]))
-        result = check_equivalence(aig_a, aig_b, _options(refine_batch))
+        result = check_equivalence(
+            aig_a, aig_b, _options(cex_neighbors=cex_neighbors)
+        )
         assert result.equivalent is False
         assert aig_a.evaluate(result.counterexample) != aig_b.evaluate(
             result.counterexample
@@ -105,31 +145,15 @@ class TestNonEquivalentPairs:
 class TestRefineBookkeeping:
     def test_flush_counters(self):
         aig_a, aig_b = ripple_carry_adder(8), kogge_stone_adder(8)
-        result = check_equivalence(aig_a, aig_b, _options(1))
+        result = check_equivalence(aig_a, aig_b, _options())
         stats = result.engine.stats
-        assert stats.refine_flushes == stats.refinements
+        assert stats.sim_passes == stats.refinements
         assert stats.refine_patterns == stats.refinements * 4  # cex + 3
         assert stats.sim_passes == result.engine.sim.num_resimulations
         # Stats surface through the repro-stats/1 report as counters.
         counters = result.stats["counters"]
         assert counters["sweep/sim_passes"] == stats.sim_passes
-        assert counters["sweep/refine_flushes"] == stats.refine_flushes
+        assert counters["sweep/refinements"] == stats.refinements
         assert counters["sweep/refine_patterns"] == stats.refine_patterns
-        assert "sweep/refine-batch" in result.stats["phases"]
-
-    def test_deferred_flushes_fewer(self):
-        aig_a, aig_b = ripple_carry_adder(8), kogge_stone_adder(8)
-        immediate = check_equivalence(aig_a, aig_b, _options(1))
-        deferred = check_equivalence(aig_a, aig_b, _options(4))
-        assert (
-            deferred.engine.stats.refine_flushes
-            <= immediate.engine.stats.refine_flushes
-        )
-        # Nothing is left pending after the sweep.
-        assert deferred.engine._pending_patterns == []
-
-    def test_refine_batch_validation(self):
-        with pytest.raises(ValueError):
-            SweepOptions(refine_batch=-1)
-        with pytest.raises(ValueError):
-            SweepOptions(refine_batch=1.5)
+        refine = result.stats["phases"]["sweep/refine-batch"]
+        assert refine["count"] == stats.refinements

@@ -160,6 +160,18 @@ class TestCanonicalOptions:
         assert cache_key(a, b) != cache_key(a, b, {"sim_words": 9})
         assert cache_key(a, b) == cache_key(b, a)
 
+    def test_keys_salted_with_a_removed_option_miss(self, adder_pair):
+        # The salt once named nine option fields, one of them the
+        # refinement batch size; those keys must not alias today's.
+        from repro.aig.structhash import pair_key
+
+        a = read_aag(io.StringIO(adder_pair[0]))
+        b = read_aag(io.StringIO(adder_pair[1]))
+        old = json.loads(canonical_options(None))
+        old["refine_batch"] = 1
+        old_salt = json.dumps(old, sort_keys=True)
+        assert cache_key(a, b) != pair_key(a, b, salt=old_salt)
+
 
 class TestProofCache:
     def _decided_doc(self, adder_pair):
@@ -295,6 +307,24 @@ class TestServerEndToEnd:
             with pytest.raises(ServiceError) as excinfo:
                 client.submit("not an aiger file", adder_pair[0])
         assert excinfo.value.code == "bad-input"
+
+    @pytest.mark.parametrize("options", [
+        {"refine_batch": 1},
+        {"sim_words": "4"},
+        {"max_conflicts": "5"},
+        {"sim_words": -1},
+        {"cex_neighbors": -2},
+    ], ids=["removed", "str-words", "str-conflicts", "neg-words",
+            "neg-neighbors"])
+    def test_bad_options_rejected_at_submit(self, server, adder_pair,
+                                            options):
+        with ServiceClient(server.address) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(*adder_pair, options=options)
+            stats = client.stats()
+        assert excinfo.value.code == "bad-input"
+        assert stats["counters"]["service/jobs-rejected"] == 1
+        assert len(server.jobs) == 0
 
     def test_interface_mismatch_is_structured(self, server, adder_pair):
         small = aag_text(ripple_carry_adder(2))
