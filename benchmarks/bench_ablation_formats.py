@@ -16,7 +16,6 @@ import pytest
 
 from repro.circuits import SUITE
 from repro.proof.checker import check_proof
-from repro.proof.compress import lower_units
 from repro.proof.drup import check_rup_proof, write_drup
 from repro.proof.stats import proof_stats
 from repro.proof.tracecheck import write_tracecheck
@@ -44,28 +43,22 @@ def test_certificate_costs(benchmark, pair, engine_cache):
     write_drup(trimmed, drup_buffer)
     trace_buffer = io.StringIO()
     write_tracecheck(trimmed, trace_buffer)
-    lowered, _ = lower_units(trimmed)
-    check_proof(lowered, axioms=result.cnf.clauses)
     _ROWS[pair.name] = [
         pair.name,
         len(trimmed),
         proof_stats(trimmed).num_resolutions,
-        proof_stats(lowered).num_resolutions,
         "%.4f" % resolution_seconds,
         "%.4f" % rup_seconds,
         len(drup_buffer.getvalue()),
         len(trace_buffer.getvalue()),
     ]
     report_table(
-        "Ablation D: certificate costs (trimmed proofs; LowerUnits compression)",
-        ["pair", "clauses", "res", "res(LU)", "res check(s)",
+        "Ablation D: certificate costs (trimmed proofs)",
+        ["pair", "clauses", "res", "res check(s)",
          "rup check(s)", "drup bytes", "tracecheck bytes"],
         [_ROWS[name] for name in sorted(_ROWS)],
         notes=[
             "DRUP omits antecedents (smaller file, checker re-propagates)",
             "TraceCheck stores antecedents (bigger file, cheaper check)",
-            "res(LU) = resolution steps after LowerUnits (also re-checked);"
-            " a wash here because the solver's in-analysis level-0"
-            " elimination already leaves each unit a single use",
         ],
     )

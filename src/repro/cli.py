@@ -210,7 +210,7 @@ def _to_aag_text(aig):
 
 def _run_remote(args):
     """Route the check through a running repro-serve (``--server``)."""
-    from .core.serialize import ResultFormatError, result_from_dict
+    from .core.serialize import ResultFormatError
     from .service.client import ServiceClient, ServiceError
 
     unsupported = []
@@ -244,26 +244,14 @@ def _run_remote(args):
     trace_recorder = Recorder() if args.chrome_trace else None
     try:
         with client:
-            if trace_recorder is not None:
-                result, response = client.check(
-                    aag_a, aag_b, recorder=trace_recorder,
-                    options={"sim_words": args.sim_words,
-                             "seed": args.seed, "proof": True},
-                    time_limit=args.time_limit,
-                    conflict_limit=args.conflict_limit,
-                    lint=args.lint,
-                )
-            else:
-                submitted = client.submit(
-                    aag_a, aag_b,
-                    options={"sim_words": args.sim_words,
-                             "seed": args.seed, "proof": True},
-                    time_limit=args.time_limit,
-                    conflict_limit=args.conflict_limit,
-                    lint=args.lint,
-                )
-                response = client.result(submitted["job"], wait=True)
-                result = result_from_dict(response["result"])
+            result, response = client.check(
+                aag_a, aag_b, recorder=trace_recorder,
+                options={"sim_words": args.sim_words,
+                         "seed": args.seed, "proof": True},
+                time_limit=args.time_limit,
+                conflict_limit=args.conflict_limit,
+                lint=args.lint,
+            )
     except ServiceError as exc:
         print("error: server: %s" % exc, file=sys.stderr)
         return (EXIT_INVALID_INPUT if exc.code == "bad-input"

@@ -3,8 +3,7 @@
 The router talks to its backend shards with this client: same line-
 JSON protocol as :class:`repro.service.client.ServiceClient`, but
 non-blocking, so one event loop multiplexes health pings, cache
-probes, and forwarded jobs across the whole fleet. The benchmark load
-generator reuses it as a many-clients driver.
+probes, and forwarded jobs across the whole fleet.
 
 One connection carries one request pipeline at a time (responses have
 no request ids, so interleaving two requests on a socket would
@@ -125,7 +124,7 @@ class AsyncServiceClient:
             return response
 
     # ------------------------------------------------------------------
-    # Verb helpers (the subset the router and the bench driver need)
+    # Verb helpers (the router's ping, plus submit/result for callers)
     # ------------------------------------------------------------------
 
     async def ping(self):
@@ -145,23 +144,3 @@ class AsyncServiceClient:
         if timeout is not None:
             message["timeout"] = timeout
         return await self.request(message, on_update=on_update)
-
-    async def cache_probe(self, key):
-        """Metadata probe: ``(found, meta)`` without the document."""
-        response = await self.request({"verb": "cache", "key": key})
-        return bool(response.get("found")), response.get("meta")
-
-    async def cache_get(self, key):
-        """Fetch the stored result document: ``(result, meta)``."""
-        response = await self.request({"verb": "cache-get", "key": key})
-        if not response.get("found"):
-            return None, None
-        return response.get("result"), response.get("meta")
-
-    async def cache_put(self, key, result, meta=None):
-        """Install a result document under *key*; True when written."""
-        message = {"verb": "cache-put", "key": key, "result": result}
-        if meta is not None:
-            message["meta"] = meta
-        response = await self.request(message)
-        return bool(response.get("stored"))

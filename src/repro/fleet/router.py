@@ -494,18 +494,21 @@ class FleetRouter:
             if not found:
                 continue
             started = loop.time()
+            # Error envelopes (a full disk answers cache-put with
+            # cache-store-failed) fail the transfer like a dead peer.
+            stored = {}
             try:
-                async with AsyncServiceClient(
-                    peer.address, timeout=self.shard_timeout,
-                ) as source:
-                    result, meta = await source.cache_get(key)
-                if result is None:
-                    continue
-                async with AsyncServiceClient(
-                    home.address, timeout=self.shard_timeout,
-                ) as target:
-                    await target.cache_put(key, result, meta=meta)
+                got = await self._shard_request(
+                    peer, {"verb": "cache-get", "key": key},
+                )
+                if got.get("ok") and got.get("found"):
+                    stored = await self._shard_request(home, {
+                        "verb": "cache-put", "key": key,
+                        "result": got.get("result"), "meta": got.get("meta"),
+                    })
             except _TRANSPORT_ERRORS:
+                pass
+            if not stored.get("ok"):
                 self.recorder.count("fleet/cache-transfer-failures")
                 continue
             elapsed = loop.time() - started

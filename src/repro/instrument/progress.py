@@ -27,10 +27,9 @@ Two contracts shape the design:
 The tick cost is kept off the hot path's shoulders by a countdown:
 only every :data:`TICKS_PER_CLOCK_CHECK` calls does :meth:`~
 ProgressTracker.tick` read the clock, and only after
-``interval_seconds`` have passed does it build a document. The
-benchmark ``benchmarks/bench_observability_overhead.py`` prices the
-enabled tick path and holds it under the same <3% budget as the
-disabled hooks.
+``interval_seconds`` have passed does it build a document. Nothing
+gates the enabled tick path's cost; the <3% budget that
+``tests/test_instrument.py`` asserts is for the disabled hooks only.
 
 The ETA band needs a budget: remaining time is extrapolated linearly
 from the budget fraction already consumed, and the band tightens as the

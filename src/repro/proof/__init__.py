@@ -1,6 +1,5 @@
 """Resolution proofs: store, checkers, trimming, statistics, DRUP."""
 
-from .compress import lower_units
 from .checker import CheckResult, check_clause, check_proof, \
     check_refutation_of
 from .drup import check_rup_proof, write_drup
@@ -26,7 +25,6 @@ __all__ = [
     "check_refutation_of",
     "check_rup_proof",
     "dumps_tracecheck",
-    "lower_units",
     "interpolate",
     "needed_ids",
     "parse_tracecheck",

@@ -3,13 +3,10 @@
 This is the object-graph solver the flat-arena core in
 :mod:`repro.sat.solver` replaced: per-clause ``_Clause`` records,
 list-of-list watch tables, DIMACS literals end to end.  It is retained
-verbatim (modulo the class rename) for two jobs:
-
-* the differential test sweep (``tests/test_solver_differential.py``)
-  asserts the arena solver reproduces this solver's verdicts, models,
-  statistics, and trimmed proofs bit for bit;
-* ``benchmarks/bench_solver_core.py`` measures the arena solver's
-  speedup against it on the committed adder pairs.
+verbatim (modulo the class rename) as the differential oracle: the
+differential test sweep (``tests/test_solver_differential.py``)
+asserts the arena solver reproduces this solver's verdicts, models,
+statistics, and trimmed proofs bit for bit.
 
 It shares ``SAT``/``UNSAT``/``UNKNOWN``, :class:`SolverStats`,
 :class:`SolveResult` and :func:`luby` with the production module, so a

@@ -72,7 +72,10 @@ class ServiceClient:
             BACKOFF_CAP)]`` (full jitter — no two clients share a
             retry schedule).
 
-    Usable as a context manager; :meth:`close` drops the socket.
+    Raises :class:`ValueError` on a malformed *address*, a *retries*
+    that is not a non-negative int, a *timeout* that is neither None
+    nor positive, or a negative *backoff*. Usable as a context
+    manager; :meth:`close` drops the socket.
     """
 
     def __init__(
@@ -83,6 +86,25 @@ class ServiceClient:
         backoff=DEFAULT_BACKOFF,
     ):
         self.family, self.target = protocol.parse_address(address)
+        if isinstance(retries, bool) or not isinstance(retries, int) \
+                or retries < 0:
+            raise ValueError(
+                "retries must be a non-negative integer, got %r" % (retries,)
+            )
+        if timeout is not None and (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, (int, float))
+            or not timeout > 0
+        ):
+            raise ValueError(
+                "timeout must be a positive number of seconds or None, "
+                "got %r" % (timeout,)
+            )
+        if isinstance(backoff, bool) or not isinstance(backoff, (int, float)) \
+                or not backoff >= 0:
+            raise ValueError(
+                "backoff must be a non-negative number, got %r" % (backoff,)
+            )
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff

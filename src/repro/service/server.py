@@ -295,7 +295,9 @@ class CecServer:
     def dispatch(self, request, send):
         """Answer one request via *send*; True ends the connection."""
         verb = request.get("verb")
-        if verb not in protocol.VERBS and verb not in protocol.FLEET_VERBS:
+        if not isinstance(verb, str) or (
+            verb not in protocol.VERBS and verb not in protocol.FLEET_VERBS
+        ):
             send(protocol.error_response(
                 protocol.ERR_INVALID_REQUEST,
                 "unknown verb %r" % (verb,), verb=verb,

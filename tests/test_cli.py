@@ -1,5 +1,6 @@
 """Tests for the repro-cec command-line interface."""
 
+import json
 from pathlib import Path
 
 import pytest
@@ -148,3 +149,14 @@ class TestServerPassthrough:
              "--server", server.address]
         ) == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_chrome_trace_over_server(self, server, circuit_files, tmp_path):
+        file_a, file_b, _ = circuit_files
+        trace = tmp_path / "trace.json"
+        assert main(
+            [file_a, file_b, "--server", server.address, "--quiet",
+             "--chrome-trace", str(trace)]
+        ) == 0
+        events = json.loads(trace.read_text())["traceEvents"]
+        names = {event["name"] for event in events if event["ph"] == "X"}
+        assert {"client/request", "service/job"} <= names

@@ -7,6 +7,7 @@ router as if it were one server.
 """
 
 import asyncio
+import errno
 import io
 import json
 import socket
@@ -187,6 +188,30 @@ class TestCrossShardCache:
         with ServiceClient(home) as direct:
             found, meta = direct.cache_probe(key)
         assert found and meta["verdict"] == "equivalent"
+
+    def test_failed_transfer_falls_back_to_a_home_solve(
+        self, fleet, adder_pair, monkeypatch,
+    ):
+        a = read_aag(io.StringIO(adder_pair[0]))
+        b = read_aag(io.StringIO(adder_pair[1]))
+        home = fleet.home_of(cache_key(a, b))
+        other = [s for s in fleet.addresses if s != home][0]
+        with ServiceClient(other) as direct:
+            direct.check(*adder_pair)
+
+        def full_disk(key, result, meta=None):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        # The home shard answers the transfer's cache-put with
+        # cache-store-failed; the router must still answer the submit.
+        monkeypatch.setattr(fleet.shards[home].cache, "store", full_disk)
+        with fleet.client() as client:
+            result, response = client.check(*adder_pair)
+        assert result.equivalent is True
+        assert response["cached"] is False
+        counters = fleet.counters()
+        assert counters["fleet/cache-transfer-failures"] == 1
+        assert counters.get("fleet/cache-transfers", 0) == 0
 
     def test_repeat_submit_hits_home_without_transfer(
         self, fleet, adder_pair,

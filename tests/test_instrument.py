@@ -1,9 +1,13 @@
 """Unit tests for the instrumentation layer (Recorder, Budget, schema)."""
 
 import json
+import time
+from contextlib import contextmanager
 
 import pytest
 
+from repro.circuits import kogge_stone_adder, ripple_carry_adder
+from repro.core.cec import check_equivalence
 from repro.instrument import (
     NULL_RECORDER,
     Budget,
@@ -237,6 +241,91 @@ class TestNullRecorder:
         assert report["phases"] == {}
         assert report["counters"] == {}
         assert report["gauges"] == {}
+
+
+class CountingNullRecorder:
+    """Behaves like NULL_RECORDER and counts every hook call made on it."""
+
+    enabled = False
+
+    def __init__(self):
+        self.calls = 0
+
+    @contextmanager
+    def phase(self, name):
+        self.calls += 1
+        yield
+
+    def count(self, name, value=1):
+        self.calls += 1
+
+    def gauge(self, name, value):
+        self.calls += 1
+
+    def add_time(self, name, seconds, count=1):
+        self.calls += 1
+
+    def add_span(self, name, seconds, **fields):
+        self.calls += 1
+
+    def start_trace(self, context=None):
+        self.calls += 1
+        return None
+
+    def report(self, budget=None):
+        self.calls += 1
+        return {}
+
+    def __getattr__(self, name):
+        # Any other hook (event, ...): count the call, do nothing.
+        def hook(*args, **kwargs):
+            self.calls += 1
+        return hook
+
+
+class TestDisabledHookBudget:
+    """Disabled instrumentation costs under 3% of a check.
+
+    No uninstrumented build exists to time against, so the cost is
+    bounded from its parts: the hook calls one disabled pass makes,
+    times the price of one no-op ``NULL_RECORDER.phase()``, over the
+    time of that pass. Each timing is the minimum of three.
+    """
+
+    BUDGET = 0.03
+    PRICE_CALLS = 50_000
+    WORKLOAD = [
+        (ripple_carry_adder(width), kogge_stone_adder(width))
+        for width in (4, 5, 6)
+    ]
+
+    def run_pass(self, recorder):
+        start = time.perf_counter()
+        for aig_a, aig_b in self.WORKLOAD:
+            result = check_equivalence(aig_a, aig_b, recorder=recorder)
+            assert result.equivalent is True
+        return time.perf_counter() - start
+
+    def price_null_hook(self):
+        start = time.perf_counter()
+        for _ in range(self.PRICE_CALLS):
+            with NULL_RECORDER.phase("bench/noop"):
+                pass
+        return (time.perf_counter() - start) / self.PRICE_CALLS
+
+    def test_disabled_hooks_cost_under_budget(self):
+        counter = CountingNullRecorder()
+        self.run_pass(counter)
+        assert counter.calls > 0
+        pass_seconds = min(self.run_pass(NULL_RECORDER) for _ in range(3))
+        price = min(self.price_null_hook() for _ in range(3))
+        overhead = counter.calls * price / pass_seconds
+        assert overhead < self.BUDGET, (
+            "disabled hooks cost %.2f%%: %d calls x %.0f ns against "
+            "%.4f s of work" % (
+                100 * overhead, counter.calls, 1e9 * price, pass_seconds,
+            )
+        )
 
 
 class TestBudget:

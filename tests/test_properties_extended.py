@@ -12,11 +12,9 @@ from repro.aig.npn import apply_transform, npn_canon, npn_transforms, \
 from repro.proof import (
     ProofStore,
     check_proof,
-    check_rup_proof,
     parse_tracecheck,
     write_tracecheck,
 )
-from repro.proof.compress import lower_units
 from repro.sat import UNSAT, Solver
 from repro.transforms import optimize, rewrite
 
@@ -142,15 +140,3 @@ class TestProofRoundTrips:
         back, _ = parse_tracecheck(buffer.getvalue())
         result = check_proof(back, axioms=clauses)
         assert result.empty_clause_id is not None
-
-    @RELAXED
-    @given(unsat_formulas())
-    def test_lower_units_preserves_validity(self, clauses):
-        store = ProofStore()
-        solver = Solver(proof=store)
-        alive = all(solver.add_clause(c) for c in clauses)
-        if alive:
-            assert solver.solve().status is UNSAT
-        compressed, _ = lower_units(store)
-        check_proof(compressed, axioms=clauses)
-        check_rup_proof(compressed, axioms=clauses)

@@ -30,6 +30,7 @@ from repro.circuits import (
 from repro.core.cec import check_equivalence
 from repro.core.certify import certify
 from repro.core.fraig import SweepOptions
+from repro.instrument.recorder import validate_report
 
 # (name, builder) pairs spanning the generator suite; sim_words=0 makes
 # every node start in one candidate class, maximizing refinement
@@ -157,3 +158,17 @@ class TestRefineBookkeeping:
         assert counters["sweep/refine_patterns"] == stats.refine_patterns
         refine = result.stats["phases"]["sweep/refine-batch"]
         assert refine["count"] == stats.refinements
+
+    def test_rca16_ks16_counts(self):
+        # Pinned counts of the refinement-heavy pair: one simulation
+        # pass per refinement round, each absorbing the counterexample
+        # and its 4 neighbours.
+        aig_a, aig_b = ripple_carry_adder(16), kogge_stone_adder(16)
+        result = check_equivalence(aig_a, aig_b, _options(cex_neighbors=4))
+        assert result.equivalent is True
+        stats = result.engine.stats
+        assert (stats.refinements, stats.refine_patterns, stats.sim_passes,
+                stats.sat_calls) == (61, 305, 61, 204)
+        report = validate_report(result.stats)
+        assert "sweep/refine-batch" in report["phases"]
+        assert report["counters"]["sweep/sim_passes"] == 61

@@ -302,6 +302,17 @@ class TestServerEndToEnd:
             stats = client.stats()
         assert stats["counters"]["service/cache-hits"] >= 1
 
+    @pytest.mark.parametrize("verb", [["ping"], {"a": 1}, 7, None],
+                             ids=["list", "object", "int", "missing"])
+    def test_non_string_verb_is_an_invalid_request(self, server, verb):
+        request = {} if verb is None else {"verb": verb}
+        with ServiceClient(server.address) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.request(request)
+            assert excinfo.value.code == protocol.ERR_INVALID_REQUEST
+            # The connection survives the malformed request.
+            assert client.ping()["ok"] is True
+
     def test_bad_input_is_structured(self, server, adder_pair):
         with ServiceClient(server.address) as client:
             with pytest.raises(ServiceError) as excinfo:
@@ -578,6 +589,31 @@ class TestClientRetrySemantics:
         )
         with pytest.raises(OSError):
             client.ping()
+
+
+class TestClientArguments:
+    @pytest.mark.parametrize("kwargs", [
+        {"retries": -1}, {"retries": 1.5}, {"retries": True},
+        {"retries": "3"}, {"timeout": -1}, {"timeout": 0},
+        {"timeout": "5"}, {"timeout": False}, {"backoff": -0.1},
+        {"backoff": None},
+    ], ids=repr)
+    def test_bad_arguments_raise_value_error(self, kwargs):
+        with pytest.raises(ValueError):
+            ServiceClient("127.0.0.1:1", **kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"retries": 0}, {"timeout": None}, {"timeout": 5.0},
+        {"timeout": 10}, {"backoff": 0},
+    ], ids=repr)
+    def test_good_arguments_are_accepted(self, kwargs):
+        ServiceClient("127.0.0.1:1", **kwargs)
+
+    @pytest.mark.parametrize("flag", ["--retries", "--timeout"])
+    def test_repro_client_rejects_negative_values(self, flag, capsys):
+        argv = ["--server", "127.0.0.1:1", flag, "-1", "ping"]
+        assert client_cli.main(argv) == EXIT_INVALID_INPUT
+        assert "repro-client:" in capsys.readouterr().err
 
 
 class TestClientBackoff:

@@ -5,9 +5,12 @@ retained pre-rewrite implementation: same decisions, same propagation
 order, same learned clauses, and therefore byte-identical trimmed
 resolution proofs. These tests drive both solvers over a deterministic
 corpus — adder/comparator miters, non-equivalent mutants, the proof
-corpus's base formula, assumption solves, and the committed add24
-miter — and assert verdict, model, statistics, and proof equality, plus
-``check_proof`` replay of every refutation.
+corpus's base formula, assumption solves, a long-clause watch-migration
+cascade, and the committed add24 miter — and assert verdict, model,
+statistics, and proof equality, plus ``check_proof`` replay of every
+refutation. The add24 solve is also pinned to its committed statistics
+fingerprint and to the committed trimmed proof
+``examples/data/add24_miter.tc``, byte for byte.
 """
 
 from pathlib import Path
@@ -26,8 +29,20 @@ from repro.proof.trim import trim
 from repro.sat.reference import ReferenceSolver
 from repro.sat.solver import SAT, UNSAT, Solver
 
-ADD24_CNF = Path(__file__).resolve().parent.parent / "examples" / "data" \
-    / "add24_miter.cnf"
+DATA = Path(__file__).resolve().parent.parent / "examples" / "data"
+ADD24_CNF = DATA / "add24_miter.cnf"
+ADD24_TC = DATA / "add24_miter.tc"
+
+# Trajectory fingerprint of the add24 solve, with or without proof
+# logging; a change to any search heuristic shows up here first.
+ADD24_STATS = {
+    "decisions": 3889,
+    "propagations": 130770,
+    "conflicts": 1581,
+    "restarts": 9,
+    "learned": 1580,
+    "deleted": 783,
+}
 
 
 def miter_clauses(aig_a, aig_b):
@@ -78,7 +93,7 @@ def run_solver(cls, clauses, assumptions=(), proof=False):
         # Level-0 refutation during loading (same convention as the
         # monolithic baseline): the formula is UNSAT.
         outcome["status"] = UNSAT
-    outcome["stats"] = repr(solver.stats)
+    outcome["stats"] = solver.stats
     return outcome
 
 
@@ -89,13 +104,13 @@ def assert_identical(clauses, assumptions=(), proof=False, axioms=None):
     assert new["status"] == ref["status"]
     assert new["model"] == ref["model"]
     assert new["final"] == ref["final"]
-    assert new["stats"] == ref["stats"], \
+    assert repr(new["stats"]) == repr(ref["stats"]), \
         "trajectory diverged: %s vs %s" % (new["stats"], ref["stats"])
     if proof and new["status"] is UNSAT and not assumptions:
         new_trim, _ = trim(new["store"])
         ref_trim, _ = trim(ref["store"])
-        new_text = dumps_tracecheck(new_trim)
-        assert new_text == dumps_tracecheck(ref_trim), \
+        new["tracecheck"] = dumps_tracecheck(new_trim)
+        assert new["tracecheck"] == dumps_tracecheck(ref_trim), \
             "trimmed proofs are not byte-identical"
         replay_axioms = axioms if axioms is not None else clauses
         check_proof(new_trim, axioms=replay_axioms)
@@ -116,6 +131,10 @@ class TestEquivalentMiters:
         cnf = read_dimacs(str(ADD24_CNF))
         new, _ = assert_identical(list(cnf.clauses), proof=True)
         assert new["status"] is UNSAT
+        stats = new["stats"]
+        assert {name: getattr(stats, name) for name in ADD24_STATS} \
+            == ADD24_STATS
+        assert new["tracecheck"] == ADD24_TC.read_text()
 
 
 class TestNonEquivalentMutants:
@@ -154,7 +173,31 @@ class TestProofCorpusInputs:
         assert new["alive"] is False
 
 
+def scan_migration_clauses(n, window):
+    """A long-clause watch-migration cascade.
+
+    Assuming ``-1`` falsifies every chain variable through the binary
+    implications ``(i, -(i+1))``, so each clause over an overlapping
+    window of them moves its watches along its falsified body to the
+    two fresh literals at its end.
+    """
+    clauses = [[i, -(i + 1)] for i in range(1, n)]
+    extra = n + 1
+    for j in range(1, n - window):
+        clauses.append(list(range(j, j + window)) + [extra, extra + 1])
+        extra += 2
+    return clauses
+
+
 class TestAssumptionSolves:
+    def test_scan_migration_cascade(self):
+        new, _ = assert_identical(
+            scan_migration_clauses(2400, 60), assumptions=[-1],
+        )
+        assert new["status"] is SAT
+        assert (new["stats"].decisions, new["stats"].propagations) \
+            == (2340, 7078)
+
     def test_sat_under_assumptions(self):
         clauses = miter_clauses(ripple_carry_adder(3), kogge_stone_adder(3))
         # Assuming the first CNF variable true/false must not change the
