@@ -27,6 +27,12 @@ integers; internally the core runs on flat integer storage:
   at most two arena reads, never touching the clause body.  Lists are
   compacted in place with a read/write cursor pair instead of rebuilding
   a ``keep`` list per visited literal.
+* **Bounded VSIDS heap.**  The branching heap is a lazy min-heap of
+  ``(-activity, var)`` entries.  A per-variable flag records whether it
+  holds the variable's current entry, so backtracking pushes only
+  variables that lack one; once more than half the entries are stale
+  (over ``2 * num_vars`` of them) the heap is rebuilt from the current
+  entries.
 
 The arena layout changes none of the solver's decisions: watch-list
 order, literal order inside clauses, bump order and tie-breaks replicate
@@ -151,7 +157,8 @@ class Solver:
         self._trail = []            # internal literals
         self._trail_lim = []        # trail positions of decisions
         self._qhead = 0
-        self._heap = []             # lazy max-heap of (-activity, var)
+        self._heap = []             # lazy min-heap of (-activity, var)
+        self._heap_live = [False]   # per var: heap holds its current entry
         self._var_inc = 1.0
         self._cla_inc = 1.0
         self._clauses = []          # problem clause refs
@@ -178,6 +185,7 @@ class Solver:
         self._watches.append([])
         self._watches.append([])
         self._seen.append(False)
+        self._heap_live.append(True)
         heapq.heappush(self._heap, (0.0, self.num_vars))
         return self.num_vars
 
@@ -411,22 +419,31 @@ class Solver:
         reason = self._reason
         activity = self._activity
         heap = self._heap
+        live = self._heap_live
         push = heapq.heappush
         bound = self._trail_lim[level]
         # Per-variable state updates commute (each var appears once), and
         # heap pops yield the strict (-activity, var) order regardless of
         # push order, so forward iteration is trajectory-equivalent to the
-        # reference solver's reverse walk.
+        # reference solver's reverse walk.  A pick returns the smallest
+        # (-activity, var) among unassigned variables whose current entry
+        # is in the heap; pushing a duplicate of an entry already there,
+        # as the reference solver does, adds nothing to that set, so
+        # skipping it moves no decision.
         for ilit in trail[bound:]:
             var = ilit >> 1
             phase[var] = not (ilit & 1)
             lit_val[ilit] = 0
             lit_val[ilit ^ 1] = 0
             reason[var] = _NO_REASON
-            push(heap, (-activity[var], var))
+            if not live[var]:
+                live[var] = True
+                push(heap, (-activity[var], var))
         del trail[bound:]
         del self._trail_lim[level:]
         self._qhead = len(trail)
+        if len(heap) > 2 * self.num_vars:
+            self._compact_heap()
 
     # ------------------------------------------------------------------
     # Propagation
@@ -541,13 +558,23 @@ class Solver:
     # Conflict analysis
     # ------------------------------------------------------------------
 
-    def _bump_var(self, var):
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
-            for v in range(1, self.num_vars + 1):
-                self._activity[v] *= 1e-100
-            self._var_inc *= 1e-100
-        heapq.heappush(self._heap, (-self._activity[var], var))
+    def _rescale_activity(self):
+        """Scale every activity and the increment by 1e-100.
+
+        Every heap entry goes stale except those of zero-activity
+        variables, so the live flags are recomputed from one scan of the
+        heap.  Returns the scaled increment.
+        """
+        activity = self._activity
+        for v in range(1, self.num_vars + 1):
+            activity[v] *= 1e-100
+        self._var_inc *= 1e-100
+        live = self._heap_live
+        live[:] = [False] * len(live)
+        for neg_act, var in self._heap:
+            if -neg_act == activity[var]:
+                live[var] = True
+        return self._var_inc
 
     def _bump_clause(self, ref):
         cla_act = self._cla_act
@@ -578,6 +605,7 @@ class Solver:
         reason = self._reason
         activity = self._activity
         heap = self._heap
+        live = self._heap_live
         push = heapq.heappush
         var_inc = self._var_inc
         current_level = len(self._trail_lim)
@@ -603,16 +631,14 @@ class Solver:
                     zero_marked.add(var)
                     continue
                 seen[var] = True
-                # Inlined _bump_var (the rescale branch is cold).
+                # VSIDS bump (the rescale branch is cold).
                 act = activity[var] + var_inc
                 activity[var] = act
                 if act > 1e100:
-                    for v in range(1, self.num_vars + 1):
-                        activity[v] *= 1e-100
-                    var_inc *= 1e-100
-                    self._var_inc = var_inc
+                    var_inc = self._rescale_activity()
                     act = activity[var]
                 push(heap, (-act, var))
+                live[var] = True
                 if lvl >= current_level:
                     path_count += 1
                 else:
@@ -842,14 +868,34 @@ class Solver:
     # Decisions
     # ------------------------------------------------------------------
 
+    def _compact_heap(self):
+        """Rebuild the heap from the current entry of each live variable.
+
+        Called once the heap holds more than ``2 * num_vars`` entries, so
+        at least half of them are stale.  Only stale entries are dropped,
+        and pops follow the strict (-activity, var) order, so compaction
+        never moves a decision.
+        """
+        activity = self._activity
+        live = self._heap_live
+        heap = self._heap
+        heap[:] = [
+            (-activity[var], var)
+            for var in range(1, self.num_vars + 1) if live[var]
+        ]
+        heapq.heapify(heap)
+
     def _pick_branch_var(self):
         heap = self._heap
         activity = self._activity
         lit_val = self._lit_val
+        live = self._heap_live
         while heap:
             neg_act, var = heapq.heappop(heap)
-            if lit_val[var << 1] == 0 and -neg_act == activity[var]:
-                return var
+            if -neg_act == activity[var]:
+                live[var] = False
+                if lit_val[var << 1] == 0:
+                    return var
         for var in range(1, self.num_vars + 1):
             if lit_val[var << 1] == 0:
                 return var
@@ -966,22 +1012,28 @@ class Solver:
             A :class:`SolveResult` with status ``SAT`` (model available),
             ``UNSAT`` (final clause + proof id available) or ``UNKNOWN``
             (conflict/time budget exhausted).
+
+        Raises:
+            ValueError: an assumption is 0, or two assumptions share a
+                variable.
         """
         if budget is None:
             budget = self.budget
-        if self._unsat:
-            return SolveResult(UNSAT, None, (), self._unsat_proof_id)
         assumptions = list(assumptions)
-        for lit in assumptions:
-            self.ensure_vars(abs(lit))
         seen_vars = set()
         for lit in assumptions:
+            if lit == 0:
+                raise ValueError("0 is not an assumption literal")
             if abs(lit) in seen_vars:
                 raise ValueError(
                     "duplicate or contradictory assumption variable %d"
                     % abs(lit)
                 )
             seen_vars.add(abs(lit))
+        if self._unsat:
+            return SolveResult(UNSAT, None, (), self._unsat_proof_id)
+        for lit in assumptions:
+            self.ensure_vars(abs(lit))
         assumption_set = set(assumptions)
         rec = self.recorder
         timing = rec.enabled

@@ -8,7 +8,8 @@ A standalone DIMACS front end for the proof-logging CDCL solver::
     repro-sat formula.cnf --assume 3 -7        # solve under assumptions
 
 Exit codes follow the SAT-competition convention: 10 = SAT, 20 = UNSAT,
-0 = unknown/limit; 3 = invalid input (unreadable or malformed DIMACS).
+0 = unknown/limit; 3 = invalid input (unreadable or malformed DIMACS, or
+a bad ``--assume`` list).
 """
 
 import argparse
@@ -123,15 +124,19 @@ def _run(cnf, args, recorder, budget, max_conflicts):
     store = ProofStore(recorder=recorder) if wants_proof else None
     solver = Solver(proof=store, recorder=recorder, budget=budget)
     solver.ensure_vars(cnf.num_vars)
-    alive = True
     for clause in cnf.clauses:
         if not solver.add_clause(clause):
-            alive = False
             break
-    result = solver.solve(
-        assumptions=args.assume, max_conflicts=max_conflicts
-    ) if alive else None
-    status = result.status if alive else UNSAT
+    try:
+        result = solver.solve(
+            assumptions=args.assume, max_conflicts=max_conflicts
+        )
+    except ValueError as exc:
+        # A bad --assume list (literal 0, a repeated or complementary
+        # variable) is bad usage, checked even when loading refuted.
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    status = result.status
     if status is SAT:
         print("s SATISFIABLE")
         if not args.quiet:
@@ -143,7 +148,7 @@ def _run(cnf, args, recorder, budget, max_conflicts):
         return EXIT_SAT
     if status is UNSAT:
         print("s UNSATISFIABLE")
-        if alive and args.assume and result.final_clause:
+        if args.assume and result.final_clause:
             print("c final clause: %s 0" % " ".join(
                 str(lit) for lit in result.final_clause))
         if store is not None and not args.assume:

@@ -91,6 +91,8 @@ class RouterHarness:
             self.thread.join(timeout=10)
             for shard in self.shards.values():
                 shard.close()
+            assert not self.thread.is_alive(), "router loop did not stop"
+            self.loop.close()
 
     def client(self):
         return ServiceClient(self.router_address)

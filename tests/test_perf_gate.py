@@ -34,11 +34,20 @@ BASE = {
 }
 # Run-to-run jitter of +-1%, so each side has a nonzero spread.
 JITTER = (0.99, 1.0, 1.01, 0.995, 1.005)
+PROOF_DIGEST = "a319ae44" + "0" * 56
+CEX_DIGEST = "96354207" + "0" * 56
+DIGEST_LINE = "proof_digest %s (40 proofs)  cex_digest %s (19)\n"
 
 
-def write_runs(directory, scale=None, failed=0, correct=True):
-    """Five result files per gated workload; *scale* multiplies metrics."""
+def write_runs(directory, scale=None, failed=0, correct=True,
+               digests=(PROOF_DIGEST, CEX_DIGEST)):
+    """Five result files per gated workload; *scale* multiplies metrics.
+
+    Each file holds perfbench's digest ledger line with *digests*, or no
+    such line when *digests* is None.
+    """
     scale = scale or {}
+    digest_line = DIGEST_LINE % digests if digests else ""
     directory.mkdir()
     for workload in WORKLOADS:
         for n, jitter in enumerate(JITTER, 1):
@@ -53,7 +62,7 @@ def write_runs(directory, scale=None, failed=0, correct=True):
             result = {"correct": correct, "attempted": 400,
                       "failed": failed, "metrics": metrics}
             (directory / ("%s-%d.out" % (workload, n))).write_text(
-                "ledger text\n" + json.dumps(result) + "\n"
+                "ledger text\n" + digest_line + json.dumps(result) + "\n"
             )
 
 
@@ -81,6 +90,14 @@ def test_identical_sides_pass(tmp_path, capsys):
     # One row per workload and metric, plus the failed share.
     rows = [line for line in out.splitlines() if line.endswith("pass")]
     assert len(rows) == len(WORKLOADS) * (len(SPEC["end_to_end"]) + 1)
+    # Both sides' digests, per workload.
+    for workload in WORKLOADS:
+        for side in ("parent", "change"):
+            assert any(
+                line.split()[:4] == [workload, side, PROOF_DIGEST[:16],
+                                     CEX_DIGEST[:16]]
+                for line in out.splitlines()
+            )
 
 
 def test_lower_throughput_fails(tmp_path, capsys):
@@ -128,3 +145,35 @@ def test_missing_workload_runs_fail(tmp_path, capsys):
     code, out = gate(tmp_path, capsys)
     assert code == 1
     assert "no runs in" in out
+
+
+@pytest.mark.parametrize("kind,digests", [
+    ("proof", ("b" * 64, CEX_DIGEST)),
+    ("cex", (PROOF_DIGEST, "c" * 64)),
+])
+def test_changed_digest_fails(tmp_path, capsys, kind, digests):
+    code, out = run_gate(tmp_path, capsys, digests=digests)
+    assert code == 1
+    for workload in WORKLOADS:
+        assert "%s: runs print 2 different %s digests" % (workload, kind) \
+            in out
+    # The gate shows both sides' digests.
+    assert PROOF_DIGEST[:16] in out and digests[0][:16] in out
+    assert CEX_DIGEST[:16] in out and digests[1][:16] in out
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_one_differing_run_on_either_side_fails(tmp_path, capsys, side):
+    write_runs(tmp_path / "parent")
+    write_runs(tmp_path / "change")
+    path = tmp_path / side / ("%s-3.out" % WORKLOADS[0])
+    path.write_text(path.read_text().replace(PROOF_DIGEST, "d" * 64))
+    code, out = gate(tmp_path, capsys)
+    assert code == 1
+    assert "%s: runs print 2 different proof digests" % WORKLOADS[0] in out
+
+
+def test_run_without_a_digest_line_fails(tmp_path, capsys):
+    code, out = run_gate(tmp_path, capsys, digests=None)
+    assert code == 1
+    assert "%s-1.out: no proof_digest line" % WORKLOADS[0] in out

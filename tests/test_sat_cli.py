@@ -4,6 +4,7 @@ import pytest
 
 from repro.cnf import CNF, write_dimacs
 from repro.proof import check_proof, parse_tracecheck
+from repro.sat.solver import Solver
 from repro.sat_cli import build_parser, main
 
 
@@ -78,6 +79,26 @@ class TestAssumptions:
     def test_sat_under_assumptions(self, cnf_files):
         sat_path, _ = cnf_files
         assert main([sat_path, "--assume", "1", "2"]) == 10
+
+    @pytest.mark.parametrize("assume", [["0"], ["1", "-1"], ["1", "1"]])
+    def test_bad_assumption_list_is_invalid_input(self, cnf_files, capsys,
+                                                  assume):
+        sat_path, _ = cnf_files
+        assert main([sat_path, "--assume"] + assume) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "s " not in captured.out
+
+    def test_bad_assumption_on_a_formula_refuted_while_loading(
+            self, tmp_path, capsys):
+        path = tmp_path / "units.cnf"
+        write_dimacs(CNF(clauses=[[1], [-1]]), str(path))
+        assert main([str(path), "--assume", "0"]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_solver_rejects_literal_zero(self):
+        with pytest.raises(ValueError, match="0 is not"):
+            Solver().solve(assumptions=[0])
 
 
 class TestProofOutput:

@@ -6,13 +6,18 @@ order, same learned clauses, and therefore byte-identical trimmed
 resolution proofs. These tests drive both solvers over a deterministic
 corpus — adder/comparator miters, non-equivalent mutants, the proof
 corpus's base formula, assumption solves, a long-clause watch-migration
-cascade, and the committed add24 miter — and assert verdict, model,
-statistics, and proof equality, plus ``check_proof`` replay of every
-refutation. The add24 solve is also pinned to its committed statistics
-fingerprint and to the committed trimmed proof
-``examples/data/add24_miter.tc``, byte for byte.
+cascade, the committed add24 miter (also at a fast decay that rescales
+activities mid-search), and whole sweeps, whose many assumption calls
+share one incremental instance — and assert verdict, model, statistics,
+and proof equality, plus ``check_proof`` replay of every refutation.
+The add24 solve is also pinned to its committed statistics fingerprint
+and to the committed trimmed proof ``examples/data/add24_miter.tc``,
+byte for byte. After each sweep the solver's branching heap is checked
+to hold exactly one current entry per live variable and at most three
+entries per variable in all.
 """
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,8 +26,11 @@ from proof_corpus import base_cnf
 from repro.aig import lit_not
 from repro.aig.miter import build_miter
 from repro.circuits import kogge_stone_adder, ripple_carry_adder
+from repro.circuits.benchmarks import by_name
 from repro.cnf.dimacs import read_dimacs
 from repro.cnf.tseitin import tseitin_encode
+from repro.core import fraig
+from repro.core.cec import check_equivalence
 from repro.proof import ProofStore, check_proof
 from repro.proof.tracecheck import dumps_tracecheck
 from repro.proof.trim import trim
@@ -61,9 +69,9 @@ def mutant(width):
     return aig
 
 
-def run_solver(cls, clauses, assumptions=(), proof=False):
+def run_solver(cls, clauses, assumptions=(), proof=False, **solver_kwargs):
     store = ProofStore() if proof else None
-    solver = cls(proof=store)
+    solver = cls(proof=store, **solver_kwargs)
     alive = True
     for clause in clauses:
         if not solver.add_clause(clause):
@@ -97,9 +105,11 @@ def run_solver(cls, clauses, assumptions=(), proof=False):
     return outcome
 
 
-def assert_identical(clauses, assumptions=(), proof=False, axioms=None):
-    new = run_solver(Solver, clauses, assumptions, proof)
-    ref = run_solver(ReferenceSolver, clauses, assumptions, proof)
+def assert_identical(clauses, assumptions=(), proof=False, axioms=None,
+                     **solver_kwargs):
+    new = run_solver(Solver, clauses, assumptions, proof, **solver_kwargs)
+    ref = run_solver(ReferenceSolver, clauses, assumptions, proof,
+                     **solver_kwargs)
     assert new["alive"] == ref["alive"]
     assert new["status"] == ref["status"]
     assert new["model"] == ref["model"]
@@ -135,6 +145,24 @@ class TestEquivalentMiters:
         assert {name: getattr(stats, name) for name in ADD24_STATS} \
             == ADD24_STATS
         assert new["tracecheck"] == ADD24_TC.read_text()
+
+    def test_add24_with_activity_rescales(self, monkeypatch):
+        # Decay 0.5 doubles the bump increment per conflict, so the 1e100
+        # activity limit is crossed twice within the 965 conflicts.
+        rescales = []
+        rescale = Solver._rescale_activity
+
+        def counted(solver):
+            rescales.append(solver.stats.conflicts)
+            return rescale(solver)
+
+        monkeypatch.setattr(Solver, "_rescale_activity", counted)
+        cnf = read_dimacs(str(ADD24_CNF))
+        new, _ = assert_identical(list(cnf.clauses), proof=True,
+                                  var_decay=0.5)
+        assert new["status"] is UNSAT
+        assert new["stats"].conflicts == 965
+        assert len(rescales) == 2
 
 
 class TestNonEquivalentMutants:
@@ -217,3 +245,35 @@ class TestAssumptionSolves:
             return result.status, repr(solver.stats)
 
         assert run(Solver) == run(ReferenceSolver)
+
+
+def assert_heap_bounded(solver):
+    """One current heap entry per live variable, at most 3 per variable."""
+    activity = solver._activity
+    current = Counter(
+        var for neg_act, var in solver._heap if -neg_act == activity[var]
+    )
+    live = [
+        var for var in range(1, solver.num_vars + 1)
+        if solver._heap_live[var]
+    ]
+    assert current == Counter(live)
+    assert len(solver._heap) <= 3 * solver.num_vars
+
+
+class TestSweepSolves:
+    """A whole sweep: many assumption calls on one incremental instance,
+    with lemma clauses added between them, so heap state carries over."""
+
+    @pytest.mark.parametrize("name", ["sadd12", "add24", "rpop12", "mul04"])
+    def test_sweep_matches_reference(self, name, monkeypatch):
+        new = check_equivalence(*by_name(name).build())
+        assert_heap_bounded(new.engine.solver)
+        monkeypatch.setattr(fraig, "Solver", ReferenceSolver)
+        ref = check_equivalence(*by_name(name).build())
+        assert isinstance(ref.engine.solver, ReferenceSolver)
+        assert new.equivalent is True and ref.equivalent is True
+        assert repr(new.engine.solver.stats) == repr(ref.engine.solver.stats)
+        assert new.engine.stats.sat_calls == ref.engine.stats.sat_calls
+        assert dumps_tracecheck(trim(new.proof)[0]) \
+            == dumps_tracecheck(trim(ref.proof)[0])

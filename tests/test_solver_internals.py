@@ -151,15 +151,6 @@ class TestRestarts:
 
 
 class TestActivityHeap:
-    def test_bump_rescale(self):
-        solver = Solver()
-        solver.ensure_vars(3)
-        solver._var_inc = 1e99
-        solver._bump_var(1)
-        solver._bump_var(2)
-        # Rescale must have fired, keeping activities finite.
-        assert all(a < 1e101 for a in solver._activity)
-
     def test_decision_prefers_active_vars(self):
         solver = Solver()
         solver.ensure_vars(5)
