@@ -168,24 +168,30 @@ class AIG:
         simplification (``x & x = x``, ``x & ~x = 0``) and structural
         hashing before allocating a node.
         """
-        self._check_lit(a)
-        self._check_lit(b)
+        # The parser and every circuit generator call this per node, so
+        # the literal helpers (_check_lit, lit_not, make_lit) are
+        # inlined; the checks and folding rules are theirs.
+        num_vars = len(self._fanin0)
+        if not 0 <= a >> 1 < num_vars:
+            raise ValueError("literal %d references unknown variable" % a)
+        if not 0 <= b >> 1 < num_vars:
+            raise ValueError("literal %d references unknown variable" % b)
         # Normalize operand order for hashing (larger literal first, the
         # AIGER binary-format convention).
         if a < b:
             a, b = b, a
-        if b == FALSE or a == lit_not(b):
+        if b == FALSE or a == b ^ 1:
             return FALSE
         if b == TRUE or a == b:
             return a
         key = (a, b)
         var = self._strash.get(key)
         if var is None:
-            var = self.num_vars
+            var = num_vars
             self._fanin0.append(a)
             self._fanin1.append(b)
             self._strash[key] = var
-        return make_lit(var)
+        return 2 * var
 
     def find_and(self, a, b):
         """Literal of an existing node ``a AND b``, or ``None``.

@@ -103,16 +103,21 @@ def _parse_aag(lines):
     for _ in range(n_out):
         output_lits.append(_read_int_line(lines, pos))
         pos += 1
+    end = pos + n_and
+    if len(lines) < end:
+        raise AigerError(
+            "truncated or malformed AIGER body at line %d" % (len(lines) + 1)
+        )
     and_rows = []
-    for _ in range(n_and):
-        fields = lines[pos].split()
-        pos += 1
+    for line in lines[pos:end]:
+        fields = line.split()
         if len(fields) != 3:
-            raise AigerError("bad AND line: %r" % lines[pos - 1])
-        lhs, rhs0, rhs1 = (int(f) for f in fields)
+            raise AigerError("bad AND line: %r" % line)
+        lhs, rhs0, rhs1 = map(int, fields)
         if lhs & 1:
             raise AigerError("AND lhs must be even: %d" % lhs)
         and_rows.append((lhs, rhs0, rhs1))
+    pos = end
     _install_ands(aig, and_rows, var_map)
     for lit in output_lits:
         aig.add_output(_map_lit(lit, var_map))
@@ -135,26 +140,32 @@ def _map_lit(lit, var_map):
 
 
 def _install_ands(aig, and_rows, var_map):
-    """Add AND rows, tolerating any topological ordering of definitions."""
-    pending = list(and_rows)
+    """Add AND rows, tolerating any topological ordering of definitions.
+
+    A row whose fanins are not defined yet waits for the next pass; a
+    pass that installs nothing means a cycle or a dangling reference.
+    """
+    add_and = aig.add_and
+    mapped_var = var_map.get
+    pending = and_rows
     while pending:
-        progressed = False
         deferred = []
-        for lhs, rhs0, rhs1 in pending:
-            v0, v1 = lit_var(rhs0), lit_var(rhs1)
-            if v0 in var_map and v1 in var_map:
-                lit = aig.add_and(_map_lit(rhs0, var_map), _map_lit(rhs1, var_map))
-                var_map[lit_var(lhs)] = lit_var(lit)
-                # Structural hashing may fold the node; remember polarity.
-                if lit & 1:
-                    raise AigerError(
-                        "AND %d folds to a complemented literal; "
-                        "input file is not strashed consistently" % lhs
-                    )
-                progressed = True
-            else:
-                deferred.append((lhs, rhs0, rhs1))
-        if not progressed:
+        for row in pending:
+            lhs, rhs0, rhs1 = row
+            v0 = mapped_var(rhs0 >> 1)
+            v1 = mapped_var(rhs1 >> 1)
+            if v0 is None or v1 is None:
+                deferred.append(row)
+                continue
+            lit = add_and(2 * v0 ^ (rhs0 & 1), 2 * v1 ^ (rhs1 & 1))
+            # Structural hashing may fold the node; remember polarity.
+            if lit & 1:
+                raise AigerError(
+                    "AND %d folds to a complemented literal; "
+                    "input file is not strashed consistently" % lhs
+                )
+            var_map[lhs >> 1] = lit >> 1
+        if len(deferred) == len(pending):
             raise AigerError("cyclic or dangling AND definitions")
         pending = deferred
 

@@ -60,13 +60,23 @@ def node_digests(aig):
     digests[0] = _blake(_CONST_TAG)
     for position, var in enumerate(aig.inputs):
         digests[var] = _blake(_INPUT_TAG, position.to_bytes(4, "big"))
-    for var in aig.and_vars():
-        f0, f1 = aig.fanins(var)
-        pair0 = digests[lit_var(f0)] + (b"~" if lit_sign(f0) else b".")
-        pair1 = digests[lit_var(f1)] + (b"~" if lit_sign(f1) else b".")
+    # Every request to the service hashes both circuits, so the loop
+    # reads the fanin lists directly (same package) and hashes each node
+    # in one call; the hashed bytes are the tag and the two sorted pairs,
+    # exactly as _blake would feed them.
+    blake2b = hashlib.blake2b
+    polarity = (b".", b"~")
+    first = aig.num_inputs + 1
+    for var, f0, f1 in zip(
+        range(first, aig.num_vars), aig._fanin0[first:], aig._fanin1[first:],
+    ):
+        pair0 = digests[f0 >> 1] + polarity[f0 & 1]
+        pair1 = digests[f1 >> 1] + polarity[f1 & 1]
         if pair1 < pair0:
             pair0, pair1 = pair1, pair0
-        digests[var] = _blake(_AND_TAG, pair0, pair1)
+        digests[var] = blake2b(
+            _AND_TAG + pair0 + pair1, digest_size=_DIGEST_SIZE,
+        ).digest()
     return digests
 
 

@@ -7,9 +7,11 @@ probes, and forwarded jobs across the whole fleet.
 
 One connection carries one request pipeline at a time (responses have
 no request ids, so interleaving two requests on a socket would
-scramble their replies). The router therefore opens a connection per
-forwarded request; this client keeps that cheap by connecting lazily
-and exposing an async context manager.
+scramble their replies). The router therefore gives each forwarded
+request a connection of its own, reusing one that finished its last
+exchange when it has one idle; this client connects lazily and counts
+the response lines it has read, so the router can tell a stale reused
+connection (nothing read) from a shard failing mid-answer.
 
 Failures keep the :class:`~repro.service.client.ServiceError` /
 ``OSError`` split of the synchronous client: protocol-level ``ok:
@@ -40,6 +42,8 @@ class AsyncServiceClient:
         self.address = address
         self.family, self.target = protocol.parse_address(address)
         self.timeout = timeout
+        #: Response lines read on this connection (heartbeats included).
+        self.lines_read = 0
         self._reader = None
         self._writer = None
 
@@ -68,14 +72,22 @@ class AsyncServiceClient:
         )
         return self
 
-    async def close(self):
-        """Drop the connection (idempotent)."""
+    def abort(self):
+        """Drop the connection without waiting for the close to finish
+        (idempotent; safe in a cancelled task or synchronous code)."""
         writer = self._writer
         self._reader = None
         self._writer = None
+        if writer is not None:
+            writer.close()
+
+    async def close(self):
+        """Drop the connection and wait until it is closed
+        (idempotent)."""
+        writer = self._writer
+        self.abort()
         if writer is None:
             return
-        writer.close()
         try:
             await writer.wait_closed()
         except (OSError, asyncio.TimeoutError):
@@ -112,6 +124,7 @@ class AsyncServiceClient:
                 raise ConnectionError(
                     "%s closed the connection mid-request" % self.address
                 )
+            self.lines_read += 1
             response = protocol.decode(line)
             if not response.get("final", True):
                 if on_update is not None:

@@ -22,12 +22,20 @@ a shard failure mid-submit fails over to the next shard on the ring;
 job verbs are bound to the shard that owns the job's state and are
 *never* re-routed — a dead shard answers ``shard-down`` instead.
 
-Cross-shard cache tier (``repro-fleet/1``): before forwarding a
-submit, the router probes the home shard's cache and, on a miss, the
+Cross-shard cache tier (``repro-fleet/1``): the router first forwards
+a submit to the home shard with ``cache_only``, which answers a hit
+and admits nothing on a miss. Only after a home miss does it probe the
 other shards in ring order; a peer hit is transferred home with
-``cache-get`` / ``cache-put`` so the home shard answers from its own
-disk. N private caches behave as one logical cache while every shard
-stays ignorant of its peers.
+``cache-get`` / ``cache-put`` so the plain submit that follows is
+answered from the home shard's own disk. N private caches behave as
+one logical cache while every shard stays ignorant of its peers.
+
+Connections: forwarded requests reuse idle router->shard connections
+(at most :data:`MAX_IDLE_CONNECTIONS` per shard). A connection goes
+back to the pool only after a complete exchange, and a request whose
+reused connection turns out stale is sent once more on a fresh one.
+Health pings always open a fresh connection, so they keep testing
+that the shard accepts connections.
 
 Health: a background task pings every shard each ``health_interval``
 seconds; ``down_after`` consecutive failures (pings and forwarded
@@ -81,8 +89,19 @@ RETAIN_JOB_SPANS = 512
 #: Job states after which a result will never change again.
 _TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 
+#: Idle router->shard connections kept per shard for reuse. A bound on
+#: sockets and shard handler threads, not a tuned value: one router
+#: keeps about as many idle connections as it has requests in flight,
+#: and perfbench's two client connections never reach it.
+MAX_IDLE_CONNECTIONS = 8
+
 #: Transport-level failures that mark a shard unhealthy.
 _TRANSPORT_ERRORS = (OSError, asyncio.TimeoutError, protocol.ProtocolError)
+
+
+class _ClientGone(Exception):
+    """The router's own client hung up while a shard's heartbeats were
+    relayed to it; the shard is not at fault."""
 
 
 class ShardState:
@@ -147,6 +166,8 @@ class FleetRouter:
         self._health_task = None
         self._stopping = asyncio.Event()
         self._job_spans = collections.OrderedDict()
+        # Idle shard connections by shard address (loop-thread only).
+        self._idle = collections.defaultdict(list)
         self._started_monotonic = time.monotonic()
         self._update_ring_gauges()
 
@@ -245,6 +266,10 @@ class FleetRouter:
         if self._metrics_http is not None:
             self._metrics_http.close()
             self._metrics_http = None
+        idle, self._idle = self._idle, collections.defaultdict(list)
+        for clients in idle.values():
+            for client in clients:
+                await client.close()
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -277,7 +302,7 @@ class FleetRouter:
                     continue
                 try:
                     done = await self._dispatch(request, writer)
-                except (OSError, ConnectionResetError):
+                except (OSError, _ClientGone):
                     return
                 if done:
                     return
@@ -365,21 +390,64 @@ class FleetRouter:
             response["job"] = self._routed_id(job_id, shard)
 
     async def _shard_request(self, shard, message, on_update=None):
-        """One request/response exchange with *shard* on a fresh
-        connection; transport failures mark the shard and re-raise."""
-        client = AsyncServiceClient(
-            shard.address, timeout=self.shard_timeout,
-        )
-        try:
-            async with client:
+        """One request/response exchange with *shard*, on an idle pooled
+        connection when there is one; transport failures mark the shard
+        and re-raise.
+
+        A reused connection is stale when it fails before its first
+        response line, other than by timing out (the shard restarted or
+        dropped it), or when its first answer is ``shutting-down`` (a
+        draining shard still answers on connections it accepted before;
+        whether it takes new work is for a fresh connection to find
+        out). It is closed with the shard's other idle connections (as
+        old as it), so the request goes once more, on a fresh
+        connection, without charging the shard. Every verb the router
+        forwards is safe to resend: ``submit``, ``cache-put`` and
+        ``cancel`` are idempotent, the others only read.
+        """
+        while True:
+            idle = self._idle[shard.address]
+            reused = bool(idle)
+            client = idle.pop() if reused else AsyncServiceClient(
+                shard.address, timeout=self.shard_timeout,
+            )
+            lines_read = client.lines_read
+            try:
                 response = await client.request(
                     message, on_update=on_update, raise_on_error=False,
                 )
-        except _TRANSPORT_ERRORS:
-            self._note_shard_failure(shard)
-            raise
+            except _TRANSPORT_ERRORS as exc:
+                client.abort()
+                if (reused and client.lines_read == lines_read
+                        and not isinstance(exc, asyncio.TimeoutError)):
+                    self._drop_idle(shard.address)
+                    continue
+                self._note_shard_failure(shard)
+                raise
+            except BaseException:
+                # Cancelled, or our own client hung up mid-relay: the
+                # exchange is unfinished, so the connection cannot be
+                # reused, but the shard is not at fault.
+                client.abort()
+                raise
+            error = response.get("error") or {}
+            if (reused and client.lines_read == lines_read + 1
+                    and error.get("code") == protocol.ERR_SHUTTING_DOWN):
+                client.abort()
+                self._drop_idle(shard.address)
+                continue
+            break
         self._note_shard_success(shard)
+        idle = self._idle[shard.address]
+        if len(idle) < MAX_IDLE_CONNECTIONS and not self._stopping.is_set():
+            idle.append(client)
+        else:
+            client.abort()
         return response
+
+    def _drop_idle(self, address):
+        for client in self._idle.pop(address, ()):
+            client.abort()
 
     async def _handle_submit(self, request):
         loop = asyncio.get_event_loop()
@@ -405,6 +473,8 @@ class FleetRouter:
         # trace — its spans parent under the client's request span and
         # the shard's spans parent under the router's route span.
         message = dict(request)
+        # cache_only is the router's own field, for its home request.
+        message.pop("cache_only", None)
         context = route_span_id = None
         if "trace" in request:
             context, propagated = TraceContext.from_wire(
@@ -415,29 +485,35 @@ class FleetRouter:
             route_span_id = new_span_id()
             message["trace"] = context.child(route_span_id).to_wire()
         spans = []
+        response = shard = None
         if len(order) > 1:
-            transfer_span = await self._fetch_across_shards(key, order)
-            if transfer_span is not None and context is not None:
-                transfer_span.update(
-                    trace_id=context.trace_id, parent_id=route_span_id,
-                )
-                spans.append(transfer_span)
-        response = None
-        for attempt, shard in enumerate(order):
+            # Ask home for a hit inside the submit. A hit, a refusal, or
+            # a job from a shard that ignores cache_only is the answer;
+            # only a miss sends the router to the peers, and a miss or
+            # an unreachable home to the plain submit below.
+            home = order[0]
             try:
-                response = await self._shard_request(shard, message)
-            except _TRANSPORT_ERRORS as exc:
-                log.warning(
-                    "submit to shard %s failed (%s); trying next",
-                    shard.address, exc,
+                answer = await self._shard_request(
+                    home, dict(message, cache_only=True),
                 )
-                self.recorder.count("fleet/submit-failovers")
-                continue
-            if attempt:
-                # The job ran on a fallback shard: replay-safe because
-                # a submit is cache-keyed and idempotent.
-                self.recorder.count("fleet/resubmits")
-            break
+            except _TRANSPORT_ERRORS:
+                answer = None
+            if answer is not None and (
+                    not answer.get("ok") or "job" in answer):
+                response, shard = answer, home
+                if answer.get("cached"):
+                    self.recorder.count("fleet/cache-home-hits")
+            elif answer is not None:
+                transfer_span = await self._fetch_across_shards(key, order)
+                if transfer_span is not None and context is not None:
+                    transfer_span.update(
+                        trace_id=context.trace_id, parent_id=route_span_id,
+                    )
+                    spans.append(transfer_span)
+        if response is None:
+            response, shard = await self._submit_with_failover(
+                order, message,
+            )
         if response is None:
             self.recorder.count("fleet/jobs-rejected")
             return protocol.error_response(
@@ -469,23 +545,36 @@ class FleetRouter:
                 self._stash_spans(routed, spans)
         return response
 
+    async def _submit_with_failover(self, order, message):
+        """Forward a plain submit along *order* until a shard answers:
+        ``(response, shard)``, or ``(None, None)`` when all failed."""
+        for attempt, shard in enumerate(order):
+            try:
+                response = await self._shard_request(shard, message)
+            except _TRANSPORT_ERRORS as exc:
+                log.warning(
+                    "submit to shard %s failed (%s); trying next",
+                    shard.address, exc,
+                )
+                self.recorder.count("fleet/submit-failovers")
+                continue
+            if attempt:
+                # The job ran on a fallback shard: replay-safe because
+                # a submit is cache-keyed and idempotent.
+                self.recorder.count("fleet/resubmits")
+            return response, shard
+        return None, None
+
     async def _fetch_across_shards(self, key, order):
         """Pull *key*'s certificate to its home shard from a peer.
 
-        Best effort: probe the home shard, then each peer in ring
+        Called after a home miss. Best effort: probe each peer in ring
         order; on a peer hit, copy the result document home so the
         forwarded submit is a local cache hit there. Returns the
         transfer span (sans trace identity) when a transfer happened.
         """
         loop = asyncio.get_event_loop()
         home = order[0]
-        try:
-            found, _ = await self._probe_cache(home, key)
-        except _TRANSPORT_ERRORS:
-            return None
-        if found:
-            self.recorder.count("fleet/cache-home-hits")
-            return None
         for peer in order[1:]:
             try:
                 found, _ = await self._probe_cache(peer, key)
@@ -579,7 +668,10 @@ class FleetRouter:
 
         async def relay(update):
             self._rewrite_job(update, shard)
-            await self._send(writer, update)
+            try:
+                await self._send(writer, update)
+            except OSError as exc:
+                raise _ClientGone(str(exc)) from exc
 
         try:
             response = await self._shard_request(
@@ -767,6 +859,7 @@ class FleetRouter:
         if shard.up and shard.failures >= self.down_after:
             shard.up = False
             self.ring.remove(shard.address)
+            self._drop_idle(shard.address)
             self.recorder.count("fleet/shard-downs")
             self._update_ring_gauges()
             log.warning(

@@ -118,9 +118,14 @@ class ServiceClient:
     def _connect(self):
         if self.family == "unix":
             sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(self.timeout)
-            sock.connect(self.target)
+            try:
+                sock.settimeout(self.timeout)
+                sock.connect(self.target)
+            except OSError:
+                sock.close()
+                raise
         else:
+            # create_connection closes each socket whose connect fails.
             sock = socket.create_connection(
                 self.target, timeout=self.timeout
             )

@@ -362,7 +362,19 @@ class CecServer:
     # ------------------------------------------------------------------
 
     def _handle_submit(self, request):
-        self.recorder.count("service/jobs-submitted")
+        # The router's cache-only submit asks for a hit and nothing
+        # else. A hit or a refusal is answered and counted like any
+        # submit; a miss admits no job and counts as a cache probe only,
+        # so every shard request shows in exactly one counter.
+        cache_only = request.get("cache_only") is True
+        response = self._submit(request, cache_only)
+        if cache_only and response["ok"] and not response["cached"]:
+            self.recorder.count("service/cache-probes")
+        else:
+            self.recorder.count("service/jobs-submitted")
+        return response
+
+    def _submit(self, request, cache_only):
         # Trace context: adopt the client's when present and
         # well-formed, otherwise degrade to a fresh trace — a malformed
         # header must never fail the job. All server-side spans of this
@@ -426,6 +438,9 @@ class CecServer:
                     "submit", job=job.id, state=job.state, cached=True,
                     verdict=job.verdict,
                 )
+        if cache_only:
+            return protocol.ok_response("submit", cached=False)
+        if self.cache is not None:
             self.recorder.count("service/cache-misses")
         try:
             job = self.jobs.admit(key=key)

@@ -11,6 +11,7 @@ import errno
 import io
 import json
 import socket
+import sys
 import threading
 import urllib.request
 
@@ -18,10 +19,12 @@ import pytest
 
 from repro.aig.aiger import read_aag, write_aag
 from repro.circuits import kogge_stone_adder, ripple_carry_adder
-from repro.fleet import FleetRouter, HashRing
+from repro.fleet import AsyncServiceClient, FleetRouter, HashRing
+from repro.fleet.router import MAX_IDLE_CONNECTIONS
 from repro.instrument import Recorder
 from repro.service import CecServer, ServiceClient, ServiceError
 from repro.service import protocol
+from repro.service import server as server_module
 from repro.service.cache import cache_key
 
 
@@ -100,6 +103,16 @@ class RouterHarness:
     def counters(self):
         return self.router.stats_report()["counters"]
 
+    def shard_counters(self, address):
+        return self.shards[address].stats_report()["counters"]
+
+
+def home_and_peer(harness, pair):
+    aig_a = read_aag(io.StringIO(pair[0]))
+    aig_b = read_aag(io.StringIO(pair[1]))
+    home = harness.home_of(cache_key(aig_a, aig_b))
+    return home, [s for s in harness.addresses if s != home][0]
+
 
 @pytest.fixture()
 def fleet(tmp_path):
@@ -157,6 +170,15 @@ class TestRouting:
             with pytest.raises(ServiceError) as excinfo:
                 client.request({"verb": "frobnicate"})
         assert excinfo.value.code == protocol.ERR_INVALID_REQUEST
+
+    def test_truncated_aiger_rejected_at_submit(self, fleet, adder_pair):
+        with fleet.client() as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit("aag 3 2 0 1 1\n2\n4\n6\n", adder_pair[0])
+            # The connection survives the rejected submit.
+            assert client.ping()["ok"] is True
+        assert excinfo.value.code == protocol.ERR_BAD_INPUT
+        assert fleet.counters()["fleet/jobs-rejected"] == 1
 
     def test_malformed_line_gets_structured_error(self, fleet):
         with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
@@ -226,6 +248,56 @@ class TestCrossShardCache:
         counters = fleet.counters()
         assert counters.get("fleet/cache-transfers", 0) == 0
         assert counters["fleet/cache-home-hits"] == 1
+
+    def test_repeat_hit_costs_home_one_submit_and_no_probe(
+        self, fleet, adder_pair,
+    ):
+        home, peer = home_and_peer(fleet, adder_pair)
+        with fleet.client() as client:
+            client.check(*adder_pair)
+            before = {shard: fleet.shard_counters(shard)
+                      for shard in (home, peer)}
+            assert client.submit(*adder_pair)["cached"] is True
+        for shard, submits in ((home, 1), (peer, 0)):
+            after = fleet.shard_counters(shard)
+            for name, added in (("service/jobs-submitted", submits),
+                                ("service/cache-probes", 0)):
+                assert after.get(name, 0) == \
+                    before[shard].get(name, 0) + added, (shard, name)
+
+    def test_home_that_ignores_cache_only_admits_one_job(
+        self, fleet, adder_pair, monkeypatch,
+    ):
+        home, _ = home_and_peer(fleet, adder_pair)
+        server = fleet.shards[home]
+        handle_submit = server._handle_submit
+
+        def ignore_cache_only(request):
+            request = dict(request)
+            request.pop("cache_only", None)
+            return handle_submit(request)
+
+        monkeypatch.setattr(server, "_handle_submit", ignore_cache_only)
+        with fleet.client() as client:
+            result, response = client.check(*adder_pair)
+        assert result.equivalent is True
+        assert response["cached"] is False
+        assert response["job"].endswith("@" + home)
+        assert sum(len(shard.jobs) for shard in fleet.shards.values()) == 1
+
+    def test_cache_only_from_a_client_is_not_forwarded(
+        self, fleet, adder_pair,
+    ):
+        # cache_only is the router's own field: a client's cold submit
+        # that carries it is admitted like any other.
+        with fleet.client() as client:
+            response = client.request({
+                "verb": "submit", "aag_a": adder_pair[0],
+                "aag_b": adder_pair[1], "cache_only": True,
+            })
+            final = client.result(response["job"], wait=True)
+        assert response["cached"] is False
+        assert final["verdict"] == "equivalent"
 
     def test_cache_stats_aggregate_across_shards(self, fleet, adder_pair):
         with fleet.client() as client:
@@ -361,6 +433,190 @@ class TestHealthAndFailover:
         assert response["verdict"] == "equivalent"
         assert fleet.counters().get("fleet/shard-downs", 0) == 0
         assert len(fleet.router.ring) == 2
+
+
+class TestConnectionPool:
+    def test_hits_reuse_pooled_connections(
+        self, tmp_path, adder_pair, monkeypatch,
+    ):
+        opened = []
+
+        class CountingClient(AsyncServiceClient):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self.address)
+
+        monkeypatch.setattr(
+            "repro.fleet.router.AsyncServiceClient", CountingClient,
+        )
+        # No health ping (which always opens a connection) in the test.
+        harness = RouterHarness(tmp_path, health_interval=60.0)
+        try:
+            with harness.client() as client:
+                client.check(*adder_pair)
+                cold = sorted(opened)
+                for _ in range(3):
+                    _, response = client.check(*adder_pair)
+                    assert response["cached"] is True
+        finally:
+            harness.close()
+        # The miss used one connection per shard, the hits none.
+        assert cold == sorted(harness.addresses)
+        assert len(opened) == 2
+
+    def test_concurrent_requests_never_share_a_connection(
+        self, fleet, adder_pair,
+    ):
+        # An equivalent and a non-equivalent query in flight at once: a
+        # connection handed to two exchanges would cross their replies.
+        flipped = ripple_carry_adder(4)
+        flipped.set_output(0, flipped.outputs[0] ^ 1)
+        pairs = {True: adder_pair, False: (adder_pair[0], aag_text(flipped))}
+        with fleet.client() as client:
+            for pair in pairs.values():
+                client.check(*pair)
+        errors = []
+
+        def hammer(equivalent):
+            try:
+                with fleet.client() as client:
+                    for _ in range(10):
+                        result, response = client.check(*pairs[equivalent])
+                        assert result.equivalent is equivalent
+                        assert response["cached"] is True
+            except Exception as exc:  # reported by the test thread
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=hammer, args=(k % 2 == 0,))
+            for k in range(6)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert fleet.counters().get("fleet/shard-errors", 0) == 0
+        assert all(len(idle) <= MAX_IDLE_CONNECTIONS
+                   for idle in fleet.router._idle.values())
+
+    def test_restarted_shard_is_reached_without_errors(
+        self, tmp_path, adder_pair,
+    ):
+        harness = RouterHarness(tmp_path, health_interval=60.0)
+        try:
+            home, _ = home_and_peer(harness, adder_pair)
+            with harness.client() as client:
+                client.check(*adder_pair)
+                # Same address, same cache: the router's idle
+                # connections to the old process are stale.
+                harness.stop_shard(home)
+                harness.start_shard(home, tmp_path)
+                result, response = client.check(*adder_pair)
+            counters = harness.counters()
+        finally:
+            harness.close()
+        assert result.equivalent is True
+        assert response["cached"] is True
+        assert response["job"].endswith("@" + home)
+        # The cache-only submit itself reached the restarted shard.
+        assert counters["fleet/cache-home-hits"] == 1
+        assert counters.get("fleet/shard-errors", 0) == 0
+        assert counters.get("fleet/submit-failovers", 0) == 0
+
+    def test_draining_home_fails_over_to_the_peer(
+        self, tmp_path, adder_pair, monkeypatch,
+    ):
+        gate = threading.Event()
+        execute_job = server_module.execute_job
+
+        def gated_job(payload):
+            gate.wait(30)
+            return execute_job(payload)
+
+        monkeypatch.setattr(server_module, "execute_job", gated_job)
+        # A draining shard keeps its listener but accepts nothing, so
+        # only a timeout tells the router on a fresh connection.
+        harness = RouterHarness(
+            tmp_path, health_interval=60.0, shard_timeout=1.0,
+        )
+        try:
+            home, peer = home_and_peer(harness, adder_pair)
+            with harness.client() as client:
+                running = client.submit(*adder_pair)["job"]
+                assert running.endswith("@" + home)
+                # The job keeps home draining; its handler threads still
+                # answer on the router's idle connections.
+                harness.shards[home].shutdown()
+                response = client.submit(*adder_pair)
+                gate.set()
+                final = client.result(response["job"], wait=True)
+            counters = harness.counters()
+        finally:
+            gate.set()
+            harness.close()
+        assert response["job"].endswith("@" + peer)
+        assert final["verdict"] == "equivalent"
+        assert counters["fleet/submit-failovers"] >= 1
+
+    def test_shard_leaving_the_ring_drops_its_idle_connections(
+        self, fleet, adder_pair,
+    ):
+        home, peer = home_and_peer(fleet, adder_pair)
+        with fleet.client() as client:
+            client.check(*adder_pair)
+        assert fleet.router._idle[home] and fleet.router._idle[peer]
+        fleet.stop_shard(home)
+        deadline = 50
+        while len(fleet.router.ring) > 1 and deadline:
+            deadline -= 1
+            fleet.call(asyncio.sleep(0.1))
+        assert fleet.router.ring.shards == (peer,)
+        assert not fleet.router._idle.get(home)
+        assert fleet.router._idle[peer]
+
+    def test_client_hangup_mid_wait_leaves_the_shard_up(
+        self, fleet, adder_pair, monkeypatch,
+    ):
+        gate = threading.Event()
+        execute_job = server_module.execute_job
+
+        def gated_job(payload):
+            gate.wait(30)
+            return execute_job(payload)
+
+        monkeypatch.setattr(server_module, "execute_job", gated_job)
+        for shard in fleet.shards.values():
+            shard.poll_interval = 0.02
+        try:
+            with fleet.client() as client:
+                job = client.submit(*adder_pair)["job"]
+                for _ in range(2):
+                    with socket.socket(socket.AF_UNIX) as sock:
+                        sock.settimeout(10)
+                        sock.connect(fleet.router_address)
+                        sock.sendall(protocol.encode(
+                            {"verb": "result", "job": job, "wait": True}
+                        ))
+                        with sock.makefile("rb") as stream:
+                            heartbeat = json.loads(stream.readline())
+                        assert heartbeat["final"] is False
+                # Heartbeats keep coming for the closed connections.
+                fleet.call(asyncio.sleep(0.5))
+                counters = fleet.counters()
+                gate.set()
+                final = client.result(job, wait=True)
+        finally:
+            gate.set()
+        assert counters.get("fleet/shard-errors", 0) == 0
+        assert len(fleet.router.ring) == 2
+        assert final["verdict"] == "equivalent"
 
 
 class TestTelemetry:

@@ -313,11 +313,42 @@ class TestServerEndToEnd:
             # The connection survives the malformed request.
             assert client.ping()["ok"] is True
 
-    def test_bad_input_is_structured(self, server, adder_pair):
+    @pytest.mark.parametrize("text", [
+        "not an aiger file",
+        # The header promises an AND row the body does not have.
+        "aag 3 2 0 1 1\n2\n4\n6\n",
+    ], ids=["garbage", "truncated-ands"])
+    def test_bad_input_is_structured(self, server, adder_pair, text):
         with ServiceClient(server.address) as client:
             with pytest.raises(ServiceError) as excinfo:
-                client.submit("not an aiger file", adder_pair[0])
+                client.submit(text, adder_pair[0])
+            # The connection survives the rejected submit.
+            assert client.ping()["ok"] is True
         assert excinfo.value.code == "bad-input"
+
+    def test_cache_only_submit_answers_hits_and_admits_nothing(
+        self, server, adder_pair,
+    ):
+        # The router's field: answer a hit, admit no job on a miss.
+        probe = {"verb": "submit", "aag_a": adder_pair[0],
+                 "aag_b": adder_pair[1], "cache_only": True}
+        with ServiceClient(server.address) as client:
+            miss = client.request(probe)
+            assert miss["cached"] is False and "job" not in miss
+            assert len(server.jobs) == 0
+            counters = client.stats()["counters"]
+            assert counters["service/cache-probes"] == 1
+            assert "service/jobs-submitted" not in counters
+            assert "service/cache-misses" not in counters
+            client.check(*adder_pair)
+            hit = client.request(probe)
+            assert hit["cached"] is True and hit["state"] == "done"
+            assert client.result(hit["job"])["verdict"] == "equivalent"
+            counters = client.stats()["counters"]
+        assert counters["service/cache-probes"] == 1
+        assert counters["service/jobs-submitted"] == 2
+        assert counters["service/cache-misses"] == 1
+        assert counters["service/cache-hits"] == 1
 
     @pytest.mark.parametrize("options", [
         {"refine_batch": 1},
@@ -579,6 +610,31 @@ class TestClientRetrySemantics:
         # The request was written once, so it must not be re-sent.
         assert len(accepted) == 1
 
+    @pytest.mark.parametrize("family", ["unix", "tcp"])
+    def test_failed_connects_close_their_sockets(
+        self, tmp_path, monkeypatch, family,
+    ):
+        created = []
+
+        class RecordingSocket(socket.socket):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        if family == "unix":
+            address = str(tmp_path / "missing.sock")
+        else:
+            probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            probe.bind(("127.0.0.1", 0))
+            address = "127.0.0.1:%d" % probe.getsockname()[1]
+            probe.close()  # nothing listens here any more
+        monkeypatch.setattr(socket, "socket", RecordingSocket)
+        client = ServiceClient(address, retries=2, backoff=0.01)
+        with pytest.raises(OSError):
+            client.ping()
+        assert len(created) == 3
+        assert [sock.fileno() for sock in created] == [-1, -1, -1]
+
     def test_connect_failures_exhaust_retries(self):
         probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         probe.bind(("127.0.0.1", 0))
@@ -689,6 +745,7 @@ class TestServeCliSignals:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+            proc.stderr.close()
         assert returncode == 0
         report = validate_report(json.loads(stats_path.read_text()))
         assert report["meta"]["tool"] == "repro-serve"
