@@ -32,7 +32,7 @@ from typing import List, Optional
 from .. import __version__
 from ..cnf.clause import CNF
 from ..cnf.dimacs import DimacsError, read_dimacs
-from ..exit_codes import EXIT_INVALID_INPUT, EXIT_NEGATIVE, EXIT_OK
+from ..exit_codes import EXIT_INVALID_INPUT, EXIT_NEGATIVE, EXIT_OK, CliParser
 from ..cnf.tseitin import tseitin_encode
 from .aig_lint import lint_aig, lint_encoding, lint_miter
 from .ast_rules import lint_package
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap error/warning findings per pass (default %d)"
         % DEFAULT_FINDING_LIMIT,
     )
-    parser = argparse.ArgumentParser(
+    parser = CliParser(
         prog="repro-lint",
         description="Static proof, netlist, and codebase linting",
     )
@@ -136,8 +136,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help/--version;
-        # fold the former onto the repo-wide invalid-input code.
+        # CliParser exits 3 on usage errors and 0 on --help/--version;
+        # return the code rather than raise it.
         return EXIT_OK if not exc.code else EXIT_INVALID_INPUT
     report = LintReport()
     report.meta["tool"] = "repro-lint"

@@ -51,9 +51,6 @@ FLEET_SCHEMA = "repro-fleet/1"
 #: Live progress heartbeats emitted by the solver/sweep hot path and
 #: forwarded through ``repro-serve`` on the ``progress`` verb.
 PROGRESS_SCHEMA = "repro-progress/1"
-#: Fleet observability snapshots produced by the ``repro-obs``
-#: aggregator (time-series summaries, SLO burn rates, tail samples).
-OBS_SCHEMA = "repro-obs/1"
 
 #: The service verb vocabulary, in documentation order.
 SERVICE_VERBS: Tuple[str, ...] = (
@@ -142,8 +139,8 @@ SCHEMAS: Dict[str, SchemaSpec] = {
                 "queue_limit", "elapsed_seconds", "cancelled",
                 # result payloads
                 "result", "worker_stats", "job_stats", "trace",
-                # progress (latest heartbeat / active-job listing)
-                "progress", "jobs",
+                # progress (latest heartbeat)
+                "progress",
                 # stats / metrics
                 "stats", "metrics", "prometheus",
             ),
@@ -194,12 +191,6 @@ SCHEMAS: Dict[str, SchemaSpec] = {
             description="live solver/sweep progress heartbeat",
         ),
         SchemaSpec(
-            OBS_SCHEMA,
-            required=("schema", "polls", "targets", "slos", "samples"),
-            optional=("series", "interval_seconds", "meta"),
-            description="fleet observability aggregator snapshot",
-        ),
-        SchemaSpec(
             FLEET_SCHEMA,
             # Same envelope shape as the service responses; fleet verbs
             # answer under this tag (fleet_response/fleet_error).
@@ -232,7 +223,6 @@ SCHEMA_CONSTANTS: Dict[str, str] = {
     "CACHE_META_SCHEMA": CACHE_META_SCHEMA,
     "FLEET_SCHEMA": FLEET_SCHEMA,
     "PROGRESS_SCHEMA": PROGRESS_SCHEMA,
-    "OBS_SCHEMA": OBS_SCHEMA,
 }
 
 

@@ -13,7 +13,6 @@ abandoned under ``--time-limit``), 3 = invalid input (I/O or parse
 error).
 """
 
-import argparse
 import sys
 import time
 
@@ -24,6 +23,7 @@ from .exit_codes import (
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_UNDECIDED,
+    CliParser,
 )
 from .instrument import Budget, BudgetExhausted, Recorder
 from .proof.checker import check_proof
@@ -34,7 +34,7 @@ from .proof.tracecheck import read_tracecheck
 
 def build_parser():
     """Construct the argument parser (exposed for testing)."""
-    parser = argparse.ArgumentParser(
+    parser = CliParser(
         prog="repro-checkproof",
         description="Independent resolution-trace checker (TraceCheck format)",
     )

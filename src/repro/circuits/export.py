@@ -6,11 +6,12 @@ For interoperability with external tools (ABC, aigtoaig, other checkers),
 (``python -m repro.circuits.export``) or via the console script.
 """
 
-import argparse
 import os
 import sys
 
+from .. import __version__
 from ..aig.aiger import write_aag, write_aig
+from ..exit_codes import EXIT_INVALID_INPUT, CliParser
 from .benchmarks import SUITE
 
 
@@ -59,9 +60,12 @@ def export_suite(directory, binary=False, pairs=None):
 
 def build_parser():
     """Construct the argument parser (exposed for testing)."""
-    parser = argparse.ArgumentParser(
+    parser = CliParser(
         prog="repro-bench-export",
         description="Export the benchmark suite as AIGER files",
+    )
+    parser.add_argument(
+        "--version", action="version", version="%(prog)s " + __version__,
     )
     parser.add_argument("directory", help="output directory")
     parser.add_argument(
@@ -84,7 +88,7 @@ def main(argv=None):
             pairs = [by_name(name) for name in args.only]
         except KeyError as exc:
             print("error: %s" % exc, file=sys.stderr)
-            return 2
+            return EXIT_INVALID_INPUT
     records = export_suite(args.directory, binary=args.binary, pairs=pairs)
     print("wrote %d pairs to %s" % (len(records), args.directory))
     return 0

@@ -8,7 +8,6 @@ the resolution proof::
     repro-cec a.aag b.aag --engine bdd
 """
 
-import argparse
 import sys
 
 from . import __version__
@@ -23,6 +22,7 @@ from .exit_codes import (
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_UNDECIDED,
+    CliParser,
 )
 from .instrument import Budget, Recorder, maybe_profile
 from .proof.drup import write_drup
@@ -32,7 +32,7 @@ from .proof.trim import trim
 
 def build_parser():
     """Construct the argument parser (exposed for testing)."""
-    parser = argparse.ArgumentParser(
+    parser = CliParser(
         prog="repro-cec",
         description="Combinational equivalence checking with resolution proofs",
     )

@@ -65,9 +65,9 @@ from ..instrument.tracing import (
     new_span_id,
 )
 from ..service import protocol
-from ..service.cache import cache_key
+from ..service.cache import cache_key, valid_key
 from ..service.metrics_http import MetricsHTTPServer
-from ..service.worker import build_options
+from ..service.worker import build_options, check_budget
 from .aioclient import AsyncServiceClient
 from .ring import DEFAULT_REPLICAS, HashRing
 
@@ -208,13 +208,6 @@ class FleetRouter:
         return self
 
     @property
-    def listen_port(self):
-        """The bound TCP port (useful with port 0); None for Unix."""
-        if self.family != "tcp" or self._server is None:
-            return None
-        return self._server.sockets[0].getsockname()[1]
-
-    @property
     def metrics_port(self):
         """The bound ``/metrics`` port, or None when disabled."""
         if self._metrics_http is None:
@@ -333,16 +326,8 @@ class FleetRouter:
         if verb == "submit":
             await self._send(writer, await self._handle_submit(request))
             return False
-        if verb in ("status", "result", "cancel"):
+        if verb in ("status", "result", "cancel", "progress"):
             await self._forward_job_verb(request, verb, writer)
-            return False
-        if verb == "progress":
-            if isinstance(request.get("job"), str):
-                await self._forward_job_verb(request, verb, writer)
-            else:
-                await self._send(
-                    writer, await self._handle_progress_listing()
-                )
             return False
         if verb in protocol.FLEET_VERBS:
             await self._send(
@@ -456,6 +441,7 @@ class FleetRouter:
             aig_a = read_aag(io.StringIO(request["aag_a"]))
             aig_b = read_aag(io.StringIO(request["aag_b"]))
             build_options(request.get("options"))
+            check_budget(request)
         except (AigerError, ValueError, KeyError, TypeError) as exc:
             self.recorder.count("fleet/jobs-rejected")
             return protocol.error_response(
@@ -690,36 +676,6 @@ class FleetRouter:
             self._stitch_result_trace(routed, response)
         await self._send(writer, response)
 
-    async def _handle_progress_listing(self):
-        """Fleet-wide ``progress`` listing: every up shard's active and
-        recently finished jobs, ids re-suffixed with the owning shard,
-        plus the summed queue depth. A shard failing mid-poll is simply
-        absent from this round's listing — observation never blocks on
-        a sick shard."""
-        jobs = []
-        queue_depth = 0
-        for shard in self.shards.values():
-            if not shard.up:
-                continue
-            try:
-                response = await self._shard_request(
-                    shard, {"verb": "progress"},
-                )
-            except _TRANSPORT_ERRORS:
-                continue
-            if not response.get("ok"):
-                continue
-            for entry in response.get("jobs") or []:
-                entry = dict(entry)
-                self._rewrite_job(entry, shard)
-                jobs.append(entry)
-            depth = response.get("queue_depth")
-            if isinstance(depth, (int, float)):
-                queue_depth += int(depth)
-        return protocol.ok_response(
-            "progress", jobs=jobs, queue_depth=queue_depth,
-        )
-
     # ------------------------------------------------------------------
     # Trace stitching
     # ------------------------------------------------------------------
@@ -776,10 +732,10 @@ class FleetRouter:
         key = request.get("key")
         if key is None and verb == "cache":
             return await self._aggregate_cache_stats()
-        if not isinstance(key, str) or not key:
+        if not valid_key(key):
             return protocol.fleet_error(
                 protocol.ERR_INVALID_REQUEST,
-                "cache verbs need a string 'key'", verb=verb,
+                "cache verbs need a lowercase-hex 'key'", verb=verb,
             )
         order = self._preferred_shards(key)
         for shard in order:

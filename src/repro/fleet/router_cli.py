@@ -18,13 +18,12 @@ with shard health. The process runs until SIGINT/SIGTERM or a client
 ``--stats-json`` when given.
 """
 
-import argparse
 import asyncio
 import signal
 import sys
 
 from .. import __version__
-from ..exit_codes import EXIT_INVALID_INPUT, EXIT_OK
+from ..exit_codes import EXIT_INVALID_INPUT, EXIT_OK, CliParser
 from ..instrument import Recorder, configure_logging, get_logger
 from .ring import DEFAULT_REPLICAS
 from .router import (
@@ -38,7 +37,7 @@ log = get_logger("fleet.serve")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = CliParser(
         prog="repro-router",
         description="Consistent-hash router fronting a fleet of "
         "repro-serve shards, with cross-shard proof-cache transfers "

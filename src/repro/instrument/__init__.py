@@ -42,12 +42,6 @@ from .progress import (
     validate_progress,
 )
 from .recorder import NULL_RECORDER, Recorder, STATS_SCHEMA
-from .timeseries import (
-    RingSeries,
-    SLOTracker,
-    TailSampler,
-    TimeSeriesStore,
-)
 from .tracing import (
     TRACE_SCHEMA,
     TraceContext,
@@ -68,12 +62,8 @@ __all__ = [
     "PROGRESS_SCHEMA",
     "ProgressTracker",
     "Recorder",
-    "RingSeries",
-    "SLOTracker",
     "STATS_SCHEMA",
     "TRACE_SCHEMA",
-    "TailSampler",
-    "TimeSeriesStore",
     "TraceContext",
     "configure_logging",
     "estimate_eta_band",

@@ -366,7 +366,7 @@ def remove_spool(path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Rendering (shared by repro-client --follow and repro-top)
+# Rendering (repro-client heartbeat lines)
 # ---------------------------------------------------------------------------
 
 

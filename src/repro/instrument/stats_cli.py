@@ -28,7 +28,8 @@ import json
 import sys
 from typing import Any, Dict, List, Optional, TextIO
 
-from ..exit_codes import EXIT_INVALID_INPUT, EXIT_OK
+from .. import __version__
+from ..exit_codes import EXIT_INVALID_INPUT, EXIT_OK, CliParser
 from .metrics import METRICS_SCHEMA, validate_metrics_report
 from .recorder import STATS_SCHEMA, Recorder, validate_report
 from .tracing import (
@@ -40,10 +41,13 @@ from .tracing import (
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = CliParser(
         prog="repro-stats",
         description="Inspect, diff, aggregate, and render repro-stats/1 "
         "and repro-trace/1 telemetry files.",
+    )
+    parser.add_argument(
+        "--version", action="version", version="%(prog)s " + __version__,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -12,13 +12,12 @@ Exit codes follow the SAT-competition convention: 10 = SAT, 20 = UNSAT,
 a bad ``--assume`` list).
 """
 
-import argparse
 import sys
 
 from . import __version__
 from .cnf.dimacs import DimacsError, read_dimacs
 from .exit_codes import EXIT_INVALID_INPUT, EXIT_SAT, EXIT_SAT_UNKNOWN, \
-    EXIT_UNSAT
+    EXIT_UNSAT, CliParser
 from .instrument import Budget, Recorder, maybe_profile
 from .proof.checker import check_proof
 from .proof.drup import write_drup
@@ -31,7 +30,7 @@ from .sat.solver import SAT, UNSAT, Solver
 
 def build_parser():
     """Construct the argument parser (exposed for testing)."""
-    parser = argparse.ArgumentParser(
+    parser = CliParser(
         prog="repro-sat",
         description="CDCL SAT solving with resolution-proof logging",
     )

@@ -9,9 +9,11 @@ CNF it refutes, and the original run's stats. Because the certificate
 is self-contained, a hit is served without touching any engine and the
 client can still replay the proof end to end.
 
-Only *decided* verdicts are stored. An undecided result reflects the
-budget of the run that produced it, not the query, so caching it would
-wrongly pin later, better-funded queries.
+Only *decided* verdicts are stored: an entry is a JSON object whose
+``equivalent`` is a bool. An undecided result reflects the budget of
+the run that produced it, not the query, so caching it would wrongly
+pin later, better-funded queries. A key names a directory, so only the
+non-empty lowercase hex that ``pair_key`` produces is accepted.
 
 Layout (under the cache root)::
 
@@ -20,11 +22,13 @@ Layout (under the cache root)::
 
 Writes are atomic (temp file + ``os.replace``) so a crashed or
 concurrent writer never leaves a half-readable entry; double stores of
-the same key are idempotent.
+the same key are idempotent, and a store over an entry that breaks the
+rule above replaces it.
 """
 
 import json
 import os
+import re
 import tempfile
 
 from ..aig.structhash import pair_key
@@ -37,6 +41,8 @@ OPTION_FIELDS = (
     "cex_neighbors", "max_conflicts", "proof",
     "validate_proof",
 )
+
+_HEX_KEY = re.compile(r"[0-9a-f]+\Z")
 
 
 def canonical_options(options=None):
@@ -66,6 +72,17 @@ def cache_key(aig_a, aig_b, options=None):
     return pair_key(aig_a, aig_b, salt=canonical_options(options))
 
 
+def valid_key(key):
+    """True when *key* is a non-empty lowercase-hex string."""
+    return isinstance(key, str) and _HEX_KEY.match(key) is not None
+
+
+def _decided(document):
+    return isinstance(document, dict) and isinstance(
+        document.get("equivalent"), bool
+    )
+
+
 class ProofCache:
     """On-disk certificate store, safe for concurrent readers/writers.
 
@@ -87,6 +104,8 @@ class ProofCache:
     # ------------------------------------------------------------------
 
     def _entry_dir(self, key):
+        if not valid_key(key):
+            raise ValueError("cache key %r is not lowercase hex" % (key,))
         return os.path.join(self.root, key[:2], key)
 
     def result_path(self, key):
@@ -104,9 +123,10 @@ class ProofCache:
     def lookup(self, key):
         """The stored ``repro-cec-result/1`` document, or ``None``.
 
-        A corrupt entry (interrupted write predating the atomic-rename
-        discipline, manual tampering) reads as a miss rather than an
-        error; the next store overwrites it.
+        An entry that is not a JSON object with a bool ``equivalent``
+        (interrupted write predating the atomic-rename discipline,
+        manual tampering) reads as a miss rather than an error; the
+        next store replaces it.
         """
         recorder = self.recorder
         if recorder is not None:
@@ -120,9 +140,10 @@ class ProofCache:
     def _read_result(self, key):
         try:
             with open(self.result_path(key)) as handle:
-                return json.load(handle)
+                document = json.load(handle)
         except (OSError, ValueError):
             return None
+        return document if _decided(document) else None
 
     def read_meta(self, key):
         """The ``repro-cec-cache/1`` metadata block for *key*, or ``None``.
@@ -140,13 +161,15 @@ class ProofCache:
     def store(self, key, result_doc, meta=None):
         """Persist a decided result document under *key*.
 
-        Undecided documents are refused with ``ValueError`` (see the
-        module docstring). Returns True when a new entry was written,
-        False when the key was already present (idempotent).
+        Undecided or malformed documents and non-hex keys are refused
+        with ``ValueError`` before the disk is touched. Returns True
+        when an entry was written, False when a valid one was already
+        present (idempotent).
         """
-        if result_doc.get("equivalent") is None:
+        if not _decided(result_doc):
             raise ValueError(
-                "refusing to cache an undecided result (key %s)" % key
+                "refusing to cache an undecided or malformed result "
+                "(key %r)" % (key,)
             )
         recorder = self.recorder
         if recorder is None:
@@ -160,7 +183,7 @@ class ProofCache:
     def _write_entry(self, key, result_doc, meta):
         entry_dir = self._entry_dir(key)
         result_path = self.result_path(key)
-        if os.path.exists(result_path):
+        if self._read_result(key) is not None:
             return False
         os.makedirs(entry_dir, exist_ok=True)
         meta_doc = {
@@ -207,7 +230,7 @@ class ProofCache:
             if not os.path.isdir(shard_dir):
                 continue
             for key in os.listdir(shard_dir):
-                if os.path.exists(self.result_path(key)):
+                if valid_key(key) and os.path.exists(self.result_path(key)):
                     found.append(key)
         return sorted(found)
 

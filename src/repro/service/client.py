@@ -86,22 +86,18 @@ class ServiceClient:
         backoff=DEFAULT_BACKOFF,
     ):
         self.family, self.target = protocol.parse_address(address)
-        if isinstance(retries, bool) or not isinstance(retries, int) \
-                or retries < 0:
+        if not protocol.non_negative(retries, int):
             raise ValueError(
                 "retries must be a non-negative integer, got %r" % (retries,)
             )
-        if timeout is not None and (
-            isinstance(timeout, bool)
-            or not isinstance(timeout, (int, float))
-            or not timeout > 0
+        if timeout is not None and not (
+            protocol.non_negative(timeout) and timeout > 0
         ):
             raise ValueError(
                 "timeout must be a positive number of seconds or None, "
                 "got %r" % (timeout,)
             )
-        if isinstance(backoff, bool) or not isinstance(backoff, (int, float)) \
-                or not backoff >= 0:
+        if not protocol.non_negative(backoff):
             raise ValueError(
                 "backoff must be a non-negative number, got %r" % (backoff,)
             )
@@ -275,16 +271,11 @@ class ServiceClient:
         """Attempt to cancel a queued job."""
         return self.request({"verb": "cancel", "job": job_id})
 
-    def progress(self, job_id=None):
-        """Live progress: with *job_id*, that job's snapshot plus its
-        latest ``repro-progress/1`` heartbeat (``progress`` is None
-        until the worker's first emission); without, the server's
-        listing of active and recently finished jobs plus the current
-        queue depth."""
-        message = {"verb": "progress"}
-        if job_id is not None:
-            message["job"] = job_id
-        return self.request(message)
+    def progress(self, job_id):
+        """Live progress: the job's snapshot plus its latest
+        ``repro-progress/1`` heartbeat (``progress`` is None until the
+        worker's first emission)."""
+        return self.request({"verb": "progress", "job": job_id})
 
     def stats(self):
         """Server-level ``repro-stats/1`` report."""

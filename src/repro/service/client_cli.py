@@ -16,7 +16,6 @@ the same codes: 0 equivalent, 1 not equivalent, 2 undecided,
 client before trusting the verdict.
 """
 
-import argparse
 import json
 import sys
 import time
@@ -29,6 +28,7 @@ from ..exit_codes import (
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_UNDECIDED,
+    CliParser,
 )
 from ..instrument import Recorder, to_chrome_trace
 from ..instrument.progress import format_heartbeat
@@ -36,7 +36,7 @@ from .client import ServiceClient, ServiceError
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = CliParser(
         prog="repro-client",
         description="Client for the repro-serve equivalence-checking "
         "service.",

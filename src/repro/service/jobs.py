@@ -226,24 +226,6 @@ class JobTable:
         with self._lock:
             return self._jobs.get(job_id)
 
-    def active(self):
-        """All non-terminal jobs, in admission order."""
-        with self._lock:
-            return [
-                job for job in self._jobs.values() if not job.is_terminal
-            ]
-
-    def recent_terminal(self, limit=16):
-        """The newest *limit* terminal jobs still retained, oldest
-        first (the progress verb's listing includes them so pollers
-        observe completions they would otherwise race)."""
-        with self._lock:
-            ids = list(self._terminal_order)[-limit:] if limit > 0 else []
-            return [
-                self._jobs[job_id] for job_id in ids
-                if job_id in self._jobs
-            ]
-
     def pending(self):
         """Number of queued/running jobs."""
         with self._lock:

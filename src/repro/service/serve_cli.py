@@ -16,13 +16,12 @@ socket and refuses to start on any unwaived finding — a cheap guard
 against deploying a build whose multi-process invariants have drifted.
 """
 
-import argparse
 import signal
 import sys
 import threading
 
 from .. import __version__
-from ..exit_codes import EXIT_INVALID_INPUT, EXIT_NEGATIVE, EXIT_OK
+from ..exit_codes import EXIT_INVALID_INPUT, EXIT_NEGATIVE, EXIT_OK, CliParser
 from ..instrument import Recorder, configure_logging, get_logger
 from .server import CecServer
 
@@ -54,7 +53,7 @@ def _self_lint():
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = CliParser(
         prog="repro-serve",
         description="Persistent combinational-equivalence-checking "
         "service with a job queue, worker pool, and structural-hash "
@@ -129,19 +128,18 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     configure_logging(json_logs=args.log_json, level=args.log_level)
-    if args.workers < 0:
-        print("repro-serve: --workers must be >= 0", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    if args.queue_limit < 1:
-        print("repro-serve: --queue-limit must be >= 1", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    if args.retain_jobs is not None and args.retain_jobs < 0:
-        print("repro-serve: --retain-jobs must be >= 0", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    if args.progress_interval is not None and args.progress_interval < 0:
-        print("repro-serve: --progress-interval must be >= 0",
-              file=sys.stderr)
-        return EXIT_INVALID_INPUT
+    for flag, value, floor in (
+        ("--workers", args.workers, 0),
+        ("--queue-limit", args.queue_limit, 1),
+        ("--retain-jobs", args.retain_jobs, 0),
+        ("--time-limit", args.time_limit, 0),
+        ("--conflict-limit", args.conflict_limit, 0),
+        ("--progress-interval", args.progress_interval, 0),
+    ):
+        if value is not None and not value >= floor:
+            print("repro-serve: %s must be >= %d" % (flag, floor),
+                  file=sys.stderr)
+            return EXIT_INVALID_INPUT
     if args.self_lint:
         code = _self_lint()
         if code != EXIT_OK:

@@ -39,10 +39,10 @@ from ..instrument.progress import (
 )
 from ..instrument.tracing import merge_trace_documents, new_span_id
 from . import protocol
-from .cache import ProofCache, cache_key
+from .cache import ProofCache, cache_key, valid_key
 from .jobs import DONE, QUEUED, JobTable, QueueFullError
 from .metrics_http import MetricsHTTPServer
-from .worker import build_options, execute_job
+from .worker import build_options, check_budget, execute_job
 
 #: Heartbeat interval while a ``result --wait`` request is blocked.
 DEFAULT_POLL_INTERVAL = 0.25
@@ -145,6 +145,14 @@ class CecServer:
         progress_interval=None,
     ):
         self.family, self.target = protocol.parse_address(address)
+        metrics_target = None
+        if metrics_address is not None:
+            family, metrics_target = protocol.parse_address(metrics_address)
+            if family != "tcp":
+                raise ValueError(
+                    "metrics endpoint needs host:port, got %r"
+                    % metrics_address
+                )
         self.workers = workers
         self.jobs = JobTable(
             queue_limit=queue_limit, retain_terminal=retain_jobs
@@ -177,41 +185,41 @@ class CecServer:
         self._shutting_down = False
         self._serving = False
         self._lock = threading.Lock()
-        if workers >= 1:
-            # A fork-start pool in a threaded server is safe only
-            # because the workers are all forked HERE, while this
-            # process is still single-threaded: the warm-up submit
-            # below forces the executor to launch every worker before
-            # the listener or any handler thread exists.
-            self._executor = ProcessPoolExecutor(  # repro-lint: ignore[concurrency.fork-after-thread]
-                max_workers=workers
-            )
-            self._executor.submit(_warm_worker).result()
-        else:
-            self._executor = ThreadPoolExecutor(max_workers=1)
-        if self.family == "unix":
-            if os.path.exists(self.target):
-                os.unlink(self.target)
-            self._server = _ThreadingUnixServer(self.target, _Handler)
-        else:
-            self._server = _ThreadingTCPServer(self.target, _Handler)
-        self._server.cec_server = self
         self.recorder.gauge("service/workers", max(workers, 1))
         # Cross-process metrics: the server's own registry plus every
         # worker report folded in as jobs finish.
         self.metrics = MetricsRegistry()
+        self._executor = None
+        self._server = None
         self._metrics_http = None
-        if metrics_address is not None:
-            family, target = protocol.parse_address(metrics_address)
-            if family != "tcp":
-                raise ValueError(
-                    "metrics endpoint needs host:port, got %r"
-                    % metrics_address
+        try:
+            if workers >= 1:
+                # A fork-start pool in a threaded server is safe only
+                # because the workers are all forked HERE, while this
+                # process is still single-threaded: the warm-up submit
+                # below forces the executor to launch every worker
+                # before the listener or any handler thread exists.
+                self._executor = ProcessPoolExecutor(  # repro-lint: ignore[concurrency.fork-after-thread]
+                    max_workers=workers
                 )
-            host, port = target
-            self._metrics_http = MetricsHTTPServer(
-                host, port, self.prometheus_text
-            ).start()
+                self._executor.submit(_warm_worker).result()
+            else:
+                self._executor = ThreadPoolExecutor(max_workers=1)
+            if self.family == "unix":
+                if os.path.exists(self.target):
+                    os.unlink(self.target)
+                self._server = _ThreadingUnixServer(self.target, _Handler)
+            else:
+                self._server = _ThreadingTCPServer(self.target, _Handler)
+            self._server.cec_server = self
+            if metrics_target is not None:
+                host, port = metrics_target
+                self._metrics_http = MetricsHTTPServer(
+                    host, port, self.prometheus_text
+                ).start()
+        except BaseException:
+            self.close()  # e.g. a taken port: release what was opened
+            raise
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -254,7 +262,8 @@ class CecServer:
         # above already keeps serve_forever() from starting late.
         if serving:
             self._server.shutdown()
-        self._executor.shutdown(wait=False)
+        if self._executor is not None:
+            self._executor.shutdown(wait=False)
 
     def close(self):
         """Release sockets and the worker pool (synchronously).
@@ -268,8 +277,10 @@ class CecServer:
         listener dying before its first ``accept``).
         """
         self.shutdown()
-        self._executor.shutdown(wait=True)
-        self._server.server_close()
+        if self._executor is not None:
+            self._executor.shutdown(wait=True)
+        if self._server is not None:
+            self._server.server_close()
         # Swap the endpoint out under the lock (close() may race a
         # late metrics_address reader), then close it unlocked.
         with self._lock:
@@ -391,6 +402,7 @@ class CecServer:
             aig_a = read_aag(io.StringIO(request["aag_a"]))
             aig_b = read_aag(io.StringIO(request["aag_b"]))
             options = build_options(request.get("options"))
+            check_budget(request)
         except (AigerError, ValueError, KeyError, TypeError) as exc:
             self.recorder.count("service/jobs-rejected")
             return protocol.error_response(
@@ -672,11 +684,7 @@ class CecServer:
 
     def _handle_result(self, request, send):
         timeout = request.get("timeout")
-        if timeout is not None and (
-            isinstance(timeout, bool)
-            or not isinstance(timeout, (int, float))
-            or not timeout >= 0
-        ):
+        if timeout is not None and not protocol.non_negative(timeout):
             send(protocol.error_response(
                 protocol.ERR_INVALID_REQUEST,
                 "'timeout' must be a non-negative number or null, not %r"
@@ -756,22 +764,7 @@ class CecServer:
         job.progress_path = None
 
     def _handle_progress(self, request):
-        """The ``progress`` verb: one job's latest heartbeat, or —
-        without a ``job`` field — a listing of every active job (plus
-        the most recent completions) with their heartbeats."""
-        if request.get("job") is None:
-            jobs = []
-            for job in self.jobs.active():
-                entry = job.snapshot()
-                entry["progress"] = self._job_progress(job)
-                jobs.append(entry)
-            for job in self.jobs.recent_terminal():
-                entry = job.snapshot()
-                entry["progress"] = job.progress
-                jobs.append(entry)
-            return protocol.ok_response(
-                "progress", jobs=jobs, queue_depth=self.jobs.pending(),
-            )
+        """The ``progress`` verb: one job's latest heartbeat."""
         job, error = self._get_job(request, "progress")
         if error is not None:
             return error
@@ -826,10 +819,11 @@ class CecServer:
                 misses=self.recorder.counter("cache/misses"),
                 stores=self.recorder.counter("cache/stores"),
             )
-        if not isinstance(key, str) or not key:
+        if not valid_key(key):
+            # The key names a directory: refuse it before any disk access.
             return protocol.fleet_error(
                 protocol.ERR_INVALID_REQUEST,
-                "cache verbs need a string 'key'", verb=verb,
+                "cache verbs need a lowercase-hex 'key'", verb=verb,
             )
         if verb == "cache":
             self.recorder.count("service/cache-probes")

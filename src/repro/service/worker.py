@@ -30,7 +30,7 @@ from ..instrument.progress import (
 )
 from ..proof.trim import trim
 from .cache import OPTION_FIELDS
-from .protocol import ERR_BAD_INPUT, ERR_CERTIFY_FAILED
+from .protocol import ERR_BAD_INPUT, ERR_CERTIFY_FAILED, non_negative
 
 
 def build_options(options_dict):
@@ -45,6 +45,22 @@ def build_options(options_dict):
     if unknown:
         raise ValueError("unknown engine options: %s" % ", ".join(unknown))
     return SweepOptions(**options_dict)
+
+
+def check_budget(request):
+    """Check a submit's ``time_limit`` (null or a non-negative number)
+    and ``conflict_limit`` (null or a non-negative int).
+
+    Raises:
+        ValueError: on any other value, a bool or a NaN included
+            (callers map this to a ``bad-input`` response).
+    """
+    for field, kinds, noun in (("time_limit", (int, float), "number"),
+                               ("conflict_limit", int, "int")):
+        value = request.get(field)
+        if value is not None and not non_negative(value, kinds):
+            raise ValueError("%r must be a non-negative %s or null, not %r"
+                             % (field, noun, value))
 
 
 def execute_job(request):

@@ -248,9 +248,9 @@ class TestRegistry:
 
 
 class TestObservabilityDocuments:
-    """Known-bad fixtures for the PR-10 observability schemas: the
-    drift rules must gate ``repro-progress/1`` and ``repro-obs/1``
-    documents exactly like the older tags."""
+    """Known-bad fixtures for the progress heartbeat schema: the drift
+    rules must gate ``repro-progress/1`` documents exactly like the
+    older tags."""
 
     def test_progress_undeclared_key_fires_once(self):
         source = (
@@ -286,44 +286,8 @@ class TestObservabilityDocuments:
         )
         assert lint_one(source) == []
 
-    def test_obs_undeclared_key_fires_once(self):
-        source = (
-            "from repro.analyze.schemas import OBS_SCHEMA\n"
-            "\n"
-            "doc = {'schema': OBS_SCHEMA, 'polls': 3, 'targets': [],\n"
-            "       'slos': {}, 'samples': {}, 'dashboards': []}\n"
-        )
-        findings = hits(source, "schema.undeclared-key")
-        assert len(findings) == 1
-        assert "'dashboards'" in findings[0].message
-
-    def test_obs_missing_slos_fires_once(self):
-        source = (
-            "from repro.analyze.schemas import OBS_SCHEMA\n"
-            "\n"
-            "doc = {'schema': OBS_SCHEMA, 'polls': 3, 'targets': [],\n"
-            "       'samples': {}}\n"
-        )
-        findings = hits(source, "schema.missing-key")
-        assert len(findings) == 1
-        assert "'slos'" in findings[0].message
-
-    def test_complete_obs_snapshot_is_clean(self):
-        source = (
-            "from repro.analyze.schemas import OBS_SCHEMA\n"
-            "\n"
-            "doc = {'schema': OBS_SCHEMA, 'polls': 3, 'targets': [],\n"
-            "       'slos': {}, 'samples': {}, 'series': {},\n"
-            "       'interval_seconds': 2.0, 'meta': {}}\n"
-        )
-        assert lint_one(source) == []
-
     def test_inline_progress_tag_fires(self):
         findings = hits(
             'TAG = "repro-progress/1"\n', "schema.inline-version",
         )
-        assert len(findings) == 1
-
-    def test_inline_obs_tag_fires(self):
-        findings = hits('TAG = "repro-obs/1"\n', "schema.inline-version")
         assert len(findings) == 1

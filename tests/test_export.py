@@ -49,7 +49,8 @@ class TestCli:
         assert os.path.exists(str(tmp_path / "par16_a.aag"))
 
     def test_main_unknown_name(self, tmp_path):
-        assert main([str(tmp_path), "--only", "nope"]) == 2
+        # A usage error: exit 3, not 2 ("undecided").
+        assert main([str(tmp_path), "--only", "nope"]) == 3
 
     def test_cli_roundtrip_through_cec(self, tmp_path, capsys):
         from repro.cli import main as cec_main

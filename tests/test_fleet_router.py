@@ -10,6 +10,7 @@ import asyncio
 import errno
 import io
 import json
+import os
 import socket
 import sys
 import threading
@@ -107,6 +108,15 @@ class RouterHarness:
         return self.shards[address].stats_report()["counters"]
 
 
+def file_tree(root):
+    """Every path under *root*, relative and sorted."""
+    return sorted(
+        os.path.relpath(os.path.join(directory, name), root)
+        for directory, dirs, files in os.walk(root)
+        for name in dirs + files
+    )
+
+
 def home_and_peer(harness, pair):
     aig_a = read_aag(io.StringIO(pair[0]))
     aig_b = read_aag(io.StringIO(pair[1]))
@@ -150,20 +160,45 @@ class TestRouting:
                 client.status("j000001")
         assert excinfo.value.code == protocol.ERR_UNKNOWN_JOB
 
-    @pytest.mark.parametrize("options", [
-        {"refine_batch": 1},
-        {"sim_words": "4"},
-        {"cex_neighbors": -2},
-    ], ids=["removed", "str-words", "neg-neighbors"])
+    @pytest.mark.parametrize("fields", [
+        {"options": {"refine_batch": 1}},
+        {"options": {"sim_words": "4"}},
+        {"options": {"cex_neighbors": -2}},
+        {"time_limit": "5"},
+        {"time_limit": -1},
+        {"time_limit": True},
+        {"time_limit": float("nan")},
+        {"conflict_limit": 2.5},
+        {"conflict_limit": -1},
+        {"conflict_limit": True},
+    ], ids=["removed", "str-words", "neg-neighbors", "str-time",
+            "neg-time", "bool-time", "nan-time", "float-conflict-limit",
+            "neg-conflict-limit", "bool-conflict-limit"])
     def test_bad_options_rejected_at_submit(self, fleet, adder_pair,
-                                            options):
+                                            fields):
         with fleet.client() as client:
             with pytest.raises(ServiceError) as excinfo:
-                client.submit(*adder_pair, options=options)
+                client.submit(*adder_pair, **fields)
         assert excinfo.value.code == protocol.ERR_BAD_INPUT
         counters = fleet.counters()
         assert counters["fleet/jobs-rejected"] == 1
         assert "fleet/jobs-routed" not in counters
+
+    @pytest.mark.parametrize("fields", [
+        {"time_limit": 0}, {"time_limit": 0.5}, {"time_limit": None},
+        {"conflict_limit": 0}, {"conflict_limit": None},
+    ], ids=["zero-time", "half-second", "null-time", "zero-conflicts",
+            "null-conflicts"])
+    def test_budget_boundaries_are_admitted(self, fleet, adder_pair,
+                                            fields):
+        request = {"verb": "submit", "aag_a": adder_pair[0],
+                   "aag_b": adder_pair[1]}
+        request.update(fields)
+        with fleet.client() as client:
+            submitted = client.request(request)
+            response = client.result(submitted["job"], wait=True)
+        assert response["state"] == "done"
+        assert fleet.counters()["fleet/jobs-routed"] == 1
 
     def test_unknown_verb_is_rejected(self, fleet):
         with fleet.client() as client:
@@ -319,6 +354,50 @@ class TestCrossShardCache:
             result, meta = client.cache_get(key)
         assert result is not None and result["equivalent"] is True
         assert meta["key"] == key
+
+
+    @pytest.mark.parametrize("verb", ["cache", "cache-get", "cache-put"])
+    @pytest.mark.parametrize("kind", ["absolute", "dotdot", "slash",
+                                      "upper"])
+    def test_non_hex_key_is_refused_before_the_disk(
+        self, tmp_path, verb, kind,
+    ):
+        # Shard cache roots sit inside tmp_path/"a", so even the ".."
+        # key would land inside tmp_path, where the tree check sees it.
+        key = {"absolute": str(tmp_path / "abs"), "dotdot": "../outside",
+               "slash": "ab/cd", "upper": "ABCDEF"}[kind]
+        (tmp_path / "a" / "b").mkdir(parents=True)
+        harness = RouterHarness(tmp_path / "a" / "b")
+        try:
+            before = file_tree(tmp_path)
+            with harness.client() as client:
+                with pytest.raises(ServiceError) as err:
+                    client.request({"verb": verb, "key": key,
+                                    "result": {"equivalent": True}})
+            after = file_tree(tmp_path)
+        finally:
+            harness.close()
+        assert err.value.code == protocol.ERR_INVALID_REQUEST
+        assert after == before
+
+    def test_undecided_put_leaves_both_shards_up(self, tmp_path):
+        # Health pings a minute apart: only request errors could take a
+        # shard out of the ring here.
+        harness = RouterHarness(tmp_path, health_interval=60.0)
+        try:
+            with harness.client() as client:
+                for equivalent in ("yes", 2, "yes"):
+                    with pytest.raises(ServiceError) as err:
+                        client.cache_put("%040x" % 0xBAD,
+                                         {"equivalent": equivalent})
+                    assert err.value.code == protocol.ERR_BAD_INPUT
+                assert client.ping()["ok"] is True
+            counters = harness.counters()
+            assert len(harness.router.ring) == 2
+        finally:
+            harness.close()
+        assert counters.get("fleet/shard-errors", 0) == 0
+        assert counters.get("fleet/shard-downs", 0) == 0
 
 
 class TestTracing:
@@ -689,20 +768,12 @@ class TestProgress:
         assert progress["state"] == "done"
         assert "progress" in progress
 
-    def test_progress_listing_merges_the_fleet(self, fleet, adder_pair):
+    def test_keyless_progress_is_unknown_job(self, fleet, adder_pair):
         with fleet.client() as client:
-            _, response = client.check(*adder_pair)
-            # The terminal listing is eventually consistent with the
-            # shard's done-callback; poll briefly.
-            for _ in range(100):
-                listing = client.progress()
-                jobs = {entry["job"] for entry in listing["jobs"]}
-                if response["job"] in jobs:
-                    break
-                fleet.call(asyncio.sleep(0.02))
-        assert response["job"] in jobs
-        assert all("@" in job_id for job_id in jobs)
-        assert isinstance(listing["queue_depth"], int)
+            client.check(*adder_pair)
+            with pytest.raises(ServiceError) as excinfo:
+                client.request({"verb": "progress"})
+        assert excinfo.value.code == "unknown-job"
 
     def test_uptime_gauge_and_build_info(self, fleet):
         report = fleet.router.stats_report()

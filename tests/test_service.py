@@ -55,6 +55,15 @@ def big_pair():
     )
 
 
+def file_tree(root):
+    """Every path under *root*, relative and sorted."""
+    return sorted(
+        os.path.relpath(os.path.join(directory, name), root)
+        for directory, dirs, files in os.walk(root)
+        for name in dirs + files
+    )
+
+
 @pytest.fixture()
 def server(tmp_path):
     """In-process server on a Unix socket with a fresh cache dir."""
@@ -204,10 +213,14 @@ class TestProofCache:
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path, adder_pair):
         cache = ProofCache(str(tmp_path / "c"))
-        cache.store("00cc", self._decided_doc(adder_pair))
+        doc = self._decided_doc(adder_pair)
+        cache.store("00cc", doc)
         with open(cache.result_path("00cc"), "w") as handle:
             handle.write("{truncated")
         assert cache.lookup("00cc") is None
+        # The next store replaces it.
+        assert cache.store("00cc", doc) is True
+        assert cache.lookup("00cc") == doc
 
     def test_recorder_counts(self, tmp_path, adder_pair):
         recorder = Recorder()
@@ -350,23 +363,50 @@ class TestServerEndToEnd:
         assert counters["service/cache-misses"] == 1
         assert counters["service/cache-hits"] == 1
 
-    @pytest.mark.parametrize("options", [
-        {"refine_batch": 1},
-        {"sim_words": "4"},
-        {"max_conflicts": "5"},
-        {"sim_words": -1},
-        {"cex_neighbors": -2},
+    @pytest.mark.parametrize("fields", [
+        {"options": {"refine_batch": 1}},
+        {"options": {"sim_words": "4"}},
+        {"options": {"max_conflicts": "5"}},
+        {"options": {"sim_words": -1}},
+        {"options": {"cex_neighbors": -2}},
+        {"time_limit": "5"},
+        {"time_limit": [1]},
+        {"time_limit": -1},
+        {"time_limit": True},
+        {"time_limit": float("nan")},
+        {"conflict_limit": "5"},
+        {"conflict_limit": 2.5},
+        {"conflict_limit": -1},
+        {"conflict_limit": True},
     ], ids=["removed", "str-words", "str-conflicts", "neg-words",
-            "neg-neighbors"])
+            "neg-neighbors", "str-time", "list-time", "neg-time",
+            "bool-time", "nan-time", "str-conflict-limit",
+            "float-conflict-limit", "neg-conflict-limit",
+            "bool-conflict-limit"])
     def test_bad_options_rejected_at_submit(self, server, adder_pair,
-                                            options):
+                                            fields):
         with ServiceClient(server.address) as client:
             with pytest.raises(ServiceError) as excinfo:
-                client.submit(*adder_pair, options=options)
+                client.submit(*adder_pair, **fields)
             stats = client.stats()
         assert excinfo.value.code == "bad-input"
         assert stats["counters"]["service/jobs-rejected"] == 1
         assert len(server.jobs) == 0
+
+    @pytest.mark.parametrize("fields", [
+        {"time_limit": 0}, {"time_limit": 0.5}, {"time_limit": None},
+        {"conflict_limit": 0}, {"conflict_limit": None},
+    ], ids=["zero-time", "half-second", "null-time", "zero-conflicts",
+            "null-conflicts"])
+    def test_budget_boundaries_are_admitted(self, server, adder_pair,
+                                            fields):
+        request = {"verb": "submit", "aag_a": adder_pair[0],
+                   "aag_b": adder_pair[1]}
+        request.update(fields)
+        with ServiceClient(server.address) as client:
+            submitted = client.request(request)
+            response = client.result(submitted["job"], wait=True)
+        assert response["state"] == "done"
 
     def test_interface_mismatch_is_structured(self, server, adder_pair):
         small = aag_text(ripple_carry_adder(2))
@@ -463,6 +503,64 @@ class TestCacheVerbs:
                     {"verb": "cache-put", "key": "ab", "result": "nope"}
                 )
         assert err.value.code == protocol.ERR_BAD_INPUT
+
+    @pytest.mark.parametrize("verb", ["cache", "cache-get", "cache-put"])
+    @pytest.mark.parametrize("kind", ["absolute", "dotdot", "slash",
+                                      "upper"])
+    def test_non_hex_key_is_refused_before_the_disk(
+        self, tmp_path, verb, kind,
+    ):
+        # The cache root sits two levels down, so even the ".." key
+        # would land inside tmp_path, where the tree check sees it.
+        key = {"absolute": str(tmp_path / "abs"), "dotdot": "../outside",
+               "slash": "ab/cd", "upper": "ABCDEF"}[kind]
+        shard = CecServer(
+            str(tmp_path / "s.sock"), workers=0,
+            cache_dir=str(tmp_path / "a" / "cache"),
+        )
+        shard.start()
+        try:
+            before = file_tree(tmp_path)
+            with ServiceClient(shard.address) as client:
+                with pytest.raises(ServiceError) as err:
+                    client.request({"verb": verb, "key": key,
+                                    "result": {"equivalent": True}})
+            after = file_tree(tmp_path)
+        finally:
+            shard.close()
+        assert err.value.code == protocol.ERR_INVALID_REQUEST
+        assert after == before
+
+    @pytest.mark.parametrize("equivalent", ["yes", 2, 1])
+    def test_put_of_an_undecided_document_is_bad_input(
+        self, server, equivalent,
+    ):
+        key = "%040x" % 0xBAD
+        with ServiceClient(server.address) as client:
+            with pytest.raises(ServiceError) as err:
+                client.cache_put(key, {"equivalent": equivalent})
+            # The handler survives: the same connection still answers.
+            assert client.ping()["ok"] is True
+        assert err.value.code == protocol.ERR_BAD_INPUT
+        assert not os.path.exists(
+            os.path.join(server.cache.root, key[:2], key)
+        )
+
+    @pytest.mark.parametrize("text", ["[]", '{"equivalent": tru'],
+                             ids=["not-an-object", "torn"])
+    def test_malformed_entry_is_solved_and_replaced(
+        self, server, adder_pair, text,
+    ):
+        key = self._key(adder_pair)
+        entry = os.path.join(server.cache.root, key[:2], key)
+        os.makedirs(entry)
+        with open(os.path.join(entry, "result.json"), "w") as handle:
+            handle.write(text)
+        with ServiceClient(server.address) as client:
+            result, response = client.check(*adder_pair)
+            assert response["cached"] is False
+            assert result.equivalent is True
+            assert client.submit(*adder_pair)["cached"] is True
 
     def test_blank_key_is_invalid(self, server):
         with ServiceClient(server.address) as client:

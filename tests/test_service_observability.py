@@ -8,6 +8,9 @@ in-process (``--workers 0``) and multiprocess worker modes.
 
 import io
 import json
+import os
+import socket
+import tempfile
 import urllib.request
 
 import pytest
@@ -188,12 +191,31 @@ class TestMetricsSurface:
         finally:
             instance.close()
 
-    def test_metrics_endpoint_requires_tcp(self, tmp_path):
+    def test_metrics_endpoint_requires_tcp(self, tmp_path, monkeypatch):
+        # The progress spool goes under tmp_path too, so the listing
+        # below sees every file the constructor could leave behind.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         with pytest.raises(ValueError):
             CecServer(
                 str(tmp_path / "cec.sock"), workers=0,
                 metrics_address=str(tmp_path / "metrics.sock"),
             )
+        assert os.listdir(tmp_path) == []
+
+    def test_taken_metrics_port_releases_the_server(
+        self, tmp_path, monkeypatch,
+    ):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen(1)
+            port = taken.getsockname()[1]
+            with pytest.raises(OSError):
+                CecServer(
+                    str(tmp_path / "cec.sock"), workers=0,
+                    metrics_address="127.0.0.1:%d" % port,
+                )
+        assert os.listdir(tmp_path) == []
 
     def test_stats_report_carries_quantile_gauges(
         self, server, adder_pair,

@@ -1,14 +1,12 @@
 """The service's live-progress plane: spool, verb, CLI surfaces.
 
-Covers the worker-side heartbeat spool, the ``progress`` verb (single
-job and fleet listing), progress-bearing ``result --wait`` heartbeats,
-the runtime-gauge refresh on the ``stats``/``metrics`` verbs, and the
-``repro-client`` surfaces (``ping`` round-trip latency,
-``status --follow``).
+Covers the worker-side heartbeat spool, the per-job ``progress`` verb,
+progress-bearing ``result --wait`` heartbeats, the runtime-gauge
+refresh on the ``stats``/``metrics`` verbs, and the ``repro-client``
+surfaces (``ping`` round-trip latency, ``status --follow``).
 """
 
 import io
-import time
 
 import pytest
 
@@ -73,25 +71,13 @@ class TestProgressVerb:
         assert progress["seq"] >= 1
         assert "conflicts" in progress["counters"]
 
-    def test_listing_covers_recent_completions(self, server, adder_pair):
+    def test_keyless_progress_is_unknown_job(self, server, adder_pair):
         with ServiceClient(server.address) as client:
             submitted = client.submit(*adder_pair)
             client.result(submitted["job"], wait=True)
-            # The listing's terminal section is fed by the executor's
-            # done-callback, which the result --wait wakeup can narrowly
-            # outrun; poll until it lands.
-            deadline = time.time() + 5.0
-            while True:
-                listing = client.progress()
-                jobs = {e["job"]: e for e in listing["jobs"]}
-                if submitted["job"] in jobs or time.time() > deadline:
-                    break
-                time.sleep(0.01)
-        assert isinstance(listing["queue_depth"], int)
-        assert submitted["job"] in jobs
-        entry = jobs[submitted["job"]]
-        assert entry["state"] == "done"
-        assert entry["progress"] is not None
+            with pytest.raises(ServiceError) as excinfo:
+                client.request({"verb": "progress"})
+        assert excinfo.value.code == "unknown-job"
 
     def test_unknown_job_is_an_error(self, server):
         with ServiceClient(server.address) as client:
