@@ -137,6 +137,8 @@ SCHEMAS: Dict[str, SchemaSpec] = {
                 # submit / status / result / cancel snapshots
                 "job", "state", "cached", "verdict", "queue_depth",
                 "queue_limit", "elapsed_seconds", "cancelled",
+                # cache_only submit miss: the shard's free workers
+                "idle_workers",
                 # result payloads
                 "result", "worker_stats", "job_stats", "trace",
                 # progress (latest heartbeat)
@@ -199,6 +201,8 @@ SCHEMAS: Dict[str, SchemaSpec] = {
                 "error",
                 # cache probe / cache-get / cache-put
                 "key", "found", "stored", "result", "meta",
+                # keyed cache probe: the shard's free workers
+                "idle_workers",
                 # keyless cache (stats) answers
                 "entries", "hits", "misses", "stores",
             ),

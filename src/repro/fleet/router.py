@@ -30,6 +30,15 @@ other shards in ring order; a peer hit is transferred home with
 answered from the home shard's own disk. N private caches behave as
 one logical cache while every shard stays ignorant of its peers.
 
+Miss placement: the home's miss answer and each peer's probe answer
+carry ``idle_workers``. When home has none free and no peer holds the
+entry, the miss runs on the first peer in ring order with a free
+worker (home and the rest behind it as failover). Once the job's
+decided result has been relayed to the client, a background task
+copies the peer's entry for the job's key home with the same keyed
+``cache-get`` / ``cache-put`` as a transfer, so later hits stay home
+hits.
+
 Connections: forwarded requests reuse idle router->shard connections
 (at most :data:`MAX_IDLE_CONNECTIONS` per shard). A connection goes
 back to the pool only after a complete exchange, and a request whose
@@ -82,12 +91,16 @@ DEFAULT_SHARD_TIMEOUT = 60.0
 #: the routed ids handed to clients.
 JOB_SEPARATOR = "@"
 
-#: Router-side span stashes kept for jobs whose result has not been
-#: fetched yet (bounds memory under clients that never collect).
+#: Router-side span stashes, and offloaded jobs awaiting their home
+#: fill, kept for jobs whose result has not been fetched yet (bounds
+#: memory under clients that never collect).
 RETAIN_JOB_SPANS = 512
 
 #: Job states after which a result will never change again.
 _TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
+
+#: Verdicts a shard caches (an undecided one reflects its budget).
+_DECIDED_VERDICTS = frozenset({"equivalent", "not_equivalent"})
 
 #: Idle router->shard connections kept per shard for reuse. A bound on
 #: sockets and shard handler threads, not a tuned value: one router
@@ -97,6 +110,24 @@ MAX_IDLE_CONNECTIONS = 8
 
 #: Transport-level failures that mark a shard unhealthy.
 _TRANSPORT_ERRORS = (OSError, asyncio.TimeoutError, protocol.ProtocolError)
+
+
+def _idle_workers(answer):
+    """A shard answer's ``idle_workers``, or None when it carries none
+    (a shard that predates the field): such a home counts as not busy,
+    and such a peer is never chosen for a miss."""
+    idle = answer.get("idle_workers")
+    if isinstance(idle, int) and not isinstance(idle, bool):
+        return idle
+    return None
+
+
+def _retain(table, routed_id, value):
+    """Record *value* for a routed job in an ordered *table*, dropping
+    the oldest entries beyond :data:`RETAIN_JOB_SPANS`."""
+    table[routed_id] = value
+    while len(table) > RETAIN_JOB_SPANS:
+        table.popitem(last=False)
 
 
 class _ClientGone(Exception):
@@ -166,6 +197,10 @@ class FleetRouter:
         self._health_task = None
         self._stopping = asyncio.Event()
         self._job_spans = collections.OrderedDict()
+        # Routed id -> (key, home shard) of jobs run away from home.
+        self._offloads = collections.OrderedDict()
+        # Home fills in flight (awaited by close).
+        self._fills = set()
         # Idle shard connections by shard address (loop-thread only).
         self._idle = collections.defaultdict(list)
         self._started_monotonic = time.monotonic()
@@ -230,7 +265,7 @@ class FleetRouter:
 
     async def close(self):
         """Stop accepting, cancel health checks, release the metrics
-        endpoint (idempotent)."""
+        endpoint, finish home fills in flight (idempotent)."""
         self._stopping.set()
         if self._health_task is not None:
             self._health_task.cancel()
@@ -259,6 +294,10 @@ class FleetRouter:
         if self._metrics_http is not None:
             self._metrics_http.close()
             self._metrics_http = None
+        # No fill starts once _stopping is set; let the running ones
+        # finish (each shard request is bounded by shard_timeout).
+        while self._fills:
+            await asyncio.gather(*self._fills, return_exceptions=True)
         idle, self._idle = self._idle, collections.defaultdict(list)
         for clients in idle.values():
             for client in clients:
@@ -471,7 +510,7 @@ class FleetRouter:
             route_span_id = new_span_id()
             message["trace"] = context.child(route_span_id).to_wire()
         spans = []
-        response = shard = None
+        response = shard = offloaded_from = None
         if len(order) > 1:
             # Ask home for a hit inside the submit. A hit, a refusal, or
             # a job from a shard that ignores cache_only is the answer;
@@ -490,12 +529,21 @@ class FleetRouter:
                 if answer.get("cached"):
                     self.recorder.count("fleet/cache-home-hits")
             elif answer is not None:
-                transfer_span = await self._fetch_across_shards(key, order)
+                transfer_span, idle_peer = await self._fetch_across_shards(
+                    key, order,
+                )
                 if transfer_span is not None and context is not None:
                     transfer_span.update(
                         trace_id=context.trace_id, parent_id=route_span_id,
                     )
                     spans.append(transfer_span)
+                if idle_peer is not None and _idle_workers(answer) == 0:
+                    # Home is busy and no peer holds the entry: solve on
+                    # the idle peer, with home and the rest as failover.
+                    order = [idle_peer] + [
+                        other for other in order if other is not idle_peer
+                    ]
+                    offloaded_from = home
         if response is None:
             response, shard = await self._submit_with_failover(
                 order, message,
@@ -522,11 +570,16 @@ class FleetRouter:
         if isinstance(job_id, str):
             routed = self._routed_id(job_id, shard)
             response["job"] = routed
+            attrs = {}
+            if offloaded_from is not None and shard is not offloaded_from:
+                self.recorder.count("fleet/miss-offloads")
+                _retain(self._offloads, routed, (key, offloaded_from))
+                attrs["offloaded_from"] = offloaded_from.address
             if context is not None:
                 spans.append(self._span(
                     context.trace_id, "fleet/route", route_span_id,
                     context.parent_id, started, elapsed,
-                    job=routed, shard=shard.address,
+                    job=routed, shard=shard.address, **attrs
                 ))
                 self._stash_spans(routed, spans)
         return response
@@ -556,34 +609,27 @@ class FleetRouter:
 
         Called after a home miss. Best effort: probe each peer in ring
         order; on a peer hit, copy the result document home so the
-        forwarded submit is a local cache hit there. Returns the
-        transfer span (sans trace identity) when a transfer happened.
+        forwarded submit is a local cache hit there. Returns
+        ``(span, idle_peer)``: the transfer span (sans trace identity)
+        when a transfer happened, and, when no peer holds the entry,
+        the first probed peer that reported an idle worker.
         """
         loop = asyncio.get_event_loop()
         home = order[0]
+        idle_peer = None
+        held = False
         for peer in order[1:]:
             try:
-                found, _ = await self._probe_cache(peer, key)
+                found, idle = await self._probe_cache(peer, key)
             except _TRANSPORT_ERRORS:
                 continue
             if not found:
+                if idle_peer is None and idle is not None and idle >= 1:
+                    idle_peer = peer
                 continue
+            held = True
             started = loop.time()
-            # Error envelopes (a full disk answers cache-put with
-            # cache-store-failed) fail the transfer like a dead peer.
-            stored = {}
-            try:
-                got = await self._shard_request(
-                    peer, {"verb": "cache-get", "key": key},
-                )
-                if got.get("ok") and got.get("found"):
-                    stored = await self._shard_request(home, {
-                        "verb": "cache-put", "key": key,
-                        "result": got.get("result"), "meta": got.get("meta"),
-                    })
-            except _TRANSPORT_ERRORS:
-                pass
-            if not stored.get("ok"):
+            if not await self._copy_entry(peer, home, key):
                 self.recorder.count("fleet/cache-transfer-failures")
                 continue
             elapsed = loop.time() - started
@@ -600,12 +646,14 @@ class FleetRouter:
             return self._span(
                 None, "fleet/cache-transfer", new_span_id(), None,
                 started, elapsed, shard=home.address, source=peer.address,
-            )
-        return None
+            ), None
+        return None, (None if held else idle_peer)
 
     async def _probe_cache(self, shard, key):
-        """``(found, meta)`` for *key* on *shard*; cache-less shards
-        read as a miss. Transport failures propagate (callers skip)."""
+        """``(found, idle_workers)`` for *key* on *shard*; cache-less
+        shards read as a miss and a shard that reports no
+        ``idle_workers`` as None. Transport failures propagate (callers
+        skip)."""
         response = await self._shard_request(
             shard, {"verb": "cache", "key": key},
         )
@@ -613,7 +661,60 @@ class FleetRouter:
             # A shard without a cache (or any protocol-level refusal)
             # is simply not a source or target for transfers.
             return False, None
-        return bool(response.get("found")), response.get("meta")
+        return bool(response.get("found")), _idle_workers(response)
+
+    async def _copy_entry(self, source, target, key):
+        """Copy *key*'s cache entry from *source* to *target* with a
+        keyed ``cache-get`` and a ``cache-put``; True when *target*
+        holds it afterwards. A miss on *source*, an error envelope (a
+        full disk answers ``cache-put`` with ``cache-store-failed``) and
+        a transport failure all read as False."""
+        try:
+            got = await self._shard_request(
+                source, {"verb": "cache-get", "key": key},
+            )
+            if not (got.get("ok") and got.get("found")):
+                return False
+            stored = await self._shard_request(target, {
+                "verb": "cache-put", "key": key,
+                "result": got.get("result"), "meta": got.get("meta"),
+            })
+        except _TRANSPORT_ERRORS:
+            return False
+        return bool(stored.get("ok"))
+
+    def _start_fill(self, peer, key, home):
+        """Fill *home* with the entry an offloaded job left on *peer*,
+        in the background: neither the relayed result nor the client's
+        next request waits for it."""
+        if self._stopping.is_set():
+            return
+        task = asyncio.ensure_future(self._fill_home(peer, key, home))
+        self._fills.add(task)
+        task.add_done_callback(self._fill_done)
+
+    def _fill_done(self, task):
+        self._fills.discard(task)
+        if not task.cancelled() and task.exception() is not None:
+            log.error("home fill crashed", exc_info=task.exception())
+
+    async def _fill_home(self, peer, key, home):
+        """Copy *key*'s entry from *peer* to *home*.
+
+        The copy is keyed, so it installs what *peer*'s cache holds for
+        *key* and nothing else, even when the relayed job was not the
+        offloaded one (a restarted peer reuses job ids). A failed fill,
+        like a result nobody fetches, leaves the lazy transfer to serve
+        the next hit.
+        """
+        if await self._copy_entry(peer, home, key):
+            self.recorder.count("fleet/home-fills")
+            return
+        self.recorder.count("fleet/home-fill-failures")
+        log.warning(
+            "home fill of %s from %s to %s failed",
+            key[:12], peer.address, home.address,
+        )
 
     async def _forward_job_verb(self, request, verb, writer):
         """Forward ``status``/``result``/``cancel``/``progress`` to
@@ -664,6 +765,8 @@ class FleetRouter:
                 shard, message, on_update=relay,
             )
         except _TRANSPORT_ERRORS as exc:
+            if verb == "result":
+                self._offloads.pop(routed, None)
             await self._send(writer, protocol.error_response(
                 protocol.ERR_SHARD_DOWN,
                 "shard %s failed mid-%s: %s"
@@ -672,9 +775,16 @@ class FleetRouter:
             ))
             return
         self._rewrite_job(response, shard)
+        offload = None
         if verb == "result":
             self._stitch_result_trace(routed, response)
+            if response.get("state") in _TERMINAL_STATES:
+                offload = self._offloads.pop(routed, None)
         await self._send(writer, response)
+        if (offload is not None
+                and response.get("verdict") in _DECIDED_VERDICTS):
+            key, home = offload
+            self._start_fill(shard, key, home)
 
     # ------------------------------------------------------------------
     # Trace stitching
@@ -697,11 +807,8 @@ class FleetRouter:
         return span
 
     def _stash_spans(self, routed_id, spans):
-        if not spans:
-            return
-        self._job_spans[routed_id] = spans
-        while len(self._job_spans) > RETAIN_JOB_SPANS:
-            self._job_spans.popitem(last=False)
+        if spans:
+            _retain(self._job_spans, routed_id, spans)
 
     def _stitch_result_trace(self, routed_id, response):
         """Merge the router's stashed spans into a terminal result's

@@ -150,7 +150,8 @@ class ProofCache:
 
         A metadata probe is the cheap half of an entry (verdict and
         provenance, no proof text); the fleet's ``cache`` verb answers
-        key probes from it without shipping the result document.
+        a key probe that ``in`` confirms with it, without shipping the
+        result document.
         """
         try:
             with open(self.meta_path(key)) as handle:
@@ -186,15 +187,16 @@ class ProofCache:
         if self._read_result(key) is not None:
             return False
         os.makedirs(entry_dir, exist_ok=True)
-        meta_doc = {
-            "schema": CACHE_META_SCHEMA,
-            "key": key,
-            "verdict": {True: "equivalent", False: "not_equivalent"}[
+        # The cache owns the entry's schema, key and verdict: a put's
+        # meta (a peer's, relayed by the router) may only add fields.
+        meta_doc = dict(meta or {})
+        meta_doc.update(
+            schema=CACHE_META_SCHEMA,
+            key=key,
+            verdict={True: "equivalent", False: "not_equivalent"}[
                 result_doc["equivalent"]
             ],
-        }
-        if meta:
-            meta_doc.update(meta)
+        )
         self._atomic_write(self.meta_path(key), meta_doc)
         self._atomic_write(result_path, result_doc)
         return True
@@ -219,7 +221,8 @@ class ProofCache:
     # ------------------------------------------------------------------
 
     def keys(self):
-        """All cached keys (directory scan; for tools and tests)."""
+        """All keys whose entry a lookup would serve (directory scan;
+        for tools and tests)."""
         found = []
         try:
             shards = os.listdir(self.root)
@@ -230,7 +233,7 @@ class ProofCache:
             if not os.path.isdir(shard_dir):
                 continue
             for key in os.listdir(shard_dir):
-                if valid_key(key) and os.path.exists(self.result_path(key)):
+                if valid_key(key) and key in self:
                     found.append(key)
         return sorted(found)
 
@@ -238,4 +241,6 @@ class ProofCache:
         return len(self.keys())
 
     def __contains__(self, key):
-        return os.path.exists(self.result_path(key))
+        # The entry rule of lookup, not file existence: a torn or
+        # undecided result.json is a miss for a probe as for a get.
+        return self._read_result(key) is not None

@@ -95,8 +95,10 @@ class Job:
     # ------------------------------------------------------------------
 
     def mark_running(self):
+        # Handed to the pool. When a worker picks the job up is known
+        # only from the worker's own start stamp, which the server
+        # copies into ``started_at`` once the job finishes.
         self.state = RUNNING
-        self.started_at = time.time()
 
     def finish(self, verdict, result, worker_stats=None, cached=False):
         self.verdict = verdict
@@ -127,7 +129,7 @@ class Job:
         return end - self.submitted_at
 
     def queue_wait_seconds(self):
-        """Wall time the job spent admitted but not yet executing."""
+        """Wall time from admission to the worker's start."""
         if self.started_at is None:
             return 0.0
         return max(0.0, self.started_at - self.submitted_at)

@@ -451,7 +451,9 @@ class CecServer:
                     verdict=job.verdict,
                 )
         if cache_only:
-            return protocol.ok_response("submit", cached=False)
+            return protocol.ok_response(
+                "submit", cached=False, idle_workers=self.idle_workers(),
+            )
         if self.cache is not None:
             self.recorder.count("service/cache-misses")
         try:
@@ -552,6 +554,8 @@ class CecServer:
             self.recorder.count("service/jobs-failed")
             return
         response = future.result()
+        if isinstance(response.get("started_at"), float):
+            job.started_at = response["started_at"]
         if not response.get("ok"):
             error = response.get("error") or {}
             job.fail(error.get("code", protocol.ERR_WORKER_FAILED),
@@ -582,9 +586,7 @@ class CecServer:
             try:
                 with job.recorder.phase("cache/store"):
                     self.cache.store(
-                        job.key, response["result"],
-                        meta={"job": job.id,
-                              "verdict": response["verdict"]},
+                        job.key, response["result"], meta={"job": job.id},
                     )
             except OSError as store_exc:
                 self.recorder.count("service/cache-store-failures")
@@ -827,11 +829,11 @@ class CecServer:
             )
         if verb == "cache":
             self.recorder.count("service/cache-probes")
-            meta = self.cache.read_meta(key)
             found = key in self.cache
             return protocol.fleet_response(
                 "cache", key=key, found=found,
-                meta=meta if found else None,
+                meta=self.cache.read_meta(key) if found else None,
+                idle_workers=self.idle_workers(),
             )
         if verb == "cache-get":
             self.recorder.count("service/cache-remote-gets")
@@ -870,6 +872,14 @@ class CecServer:
             )
         self.recorder.count("service/cache-remote-puts")
         return protocol.fleet_response("cache-put", key=key, stored=stored)
+
+    def idle_workers(self):
+        """Workers not taken by an admitted, unfinished job (0 while
+        draining). The router offloads a miss from a busy home shard
+        to a peer that reports one."""
+        if self._shutting_down:
+            return 0
+        return max(0, max(self.workers, 1) - self.jobs.pending())
 
     # ------------------------------------------------------------------
     # stats

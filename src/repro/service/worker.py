@@ -15,6 +15,7 @@ back as structured ``bad-input`` errors.
 """
 
 import io
+import time
 
 from ..aig.aiger import AigerError, read_aag
 from ..core.cec import check_equivalence
@@ -84,9 +85,13 @@ def execute_job(request):
 
         {"ok": True, "verdict": ..., "result": <repro-cec-result/1>,
          "stats": <repro-stats/1>, "trace": <repro-trace/1>,
-         "metrics": <repro-metrics/1>}
+         "metrics": <repro-metrics/1>, "started_at": <epoch seconds>}
         {"ok": False, "error": {"code": ..., "message": ...}}
+
+    ``started_at`` is the worker's own start stamp: the server measures
+    the job's queue wait up to it.
     """
+    started_at = time.time()
     recorder = Recorder()
     recorder.meta["tool"] = "repro-serve-worker"
     context, _ = TraceContext.from_wire(request.get("trace"))
@@ -149,6 +154,7 @@ def execute_job(request):
         "stats": result.stats,
         "trace": recorder.trace_report(),
         "metrics": metrics.report(),
+        "started_at": started_at,
     }
 
 

@@ -1,6 +1,7 @@
 """Shared test helpers."""
 
 import itertools
+import threading
 
 import pytest
 
@@ -42,3 +43,23 @@ def tiny_aig():
     c = aig.add_input("c")
     aig.add_output(aig.add_or(aig.add_and(a, b), c ^ 1), "y")
     return aig
+
+
+@pytest.fixture()
+def gate(monkeypatch):
+    """Jobs of every ``workers=0`` ``CecServer`` in this process wait
+    on this event before they run. It starts open; a test clears it to
+    hold jobs."""
+    from repro.service import server as server_module
+
+    event = threading.Event()
+    event.set()
+    execute_job = server_module.execute_job
+
+    def gated_job(payload):
+        event.wait(30)
+        return execute_job(payload)
+
+    monkeypatch.setattr(server_module, "execute_job", gated_job)
+    yield event
+    event.set()

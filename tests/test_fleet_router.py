@@ -20,9 +20,10 @@ import pytest
 
 from repro.aig.aiger import read_aag, write_aag
 from repro.circuits import kogge_stone_adder, ripple_carry_adder
+from repro.circuits.faults import Fault, inject
 from repro.fleet import AsyncServiceClient, FleetRouter, HashRing
 from repro.fleet.router import MAX_IDLE_CONNECTIONS
-from repro.instrument import Recorder
+from repro.instrument import Recorder, TraceContext
 from repro.service import CecServer, ServiceClient, ServiceError
 from repro.service import protocol
 from repro.service import server as server_module
@@ -104,6 +105,15 @@ class RouterHarness:
     def counters(self):
         return self.router.stats_report()["counters"]
 
+    def settle_fills(self):
+        """Wait for the router's background home fills to finish."""
+
+        async def settle():
+            while self.router._fills:
+                await asyncio.gather(*self.router._fills)
+
+        self.call(settle())
+
     def shard_counters(self, address):
         return self.shards[address].stats_report()["counters"]
 
@@ -117,11 +127,27 @@ def file_tree(root):
     )
 
 
+def pair_key_of(pair):
+    return cache_key(read_aag(io.StringIO(pair[0])),
+                     read_aag(io.StringIO(pair[1])))
+
+
 def home_and_peer(harness, pair):
-    aig_a = read_aag(io.StringIO(pair[0]))
-    aig_b = read_aag(io.StringIO(pair[1]))
-    home = harness.home_of(cache_key(aig_a, aig_b))
+    home = harness.home_of(pair_key_of(pair))
     return home, [s for s in harness.addresses if s != home][0]
+
+
+def same_home_pairs(harness, count):
+    """``(home, peer, pairs)``: *count* distinct equivalent adder pairs
+    whose keys all have *home* as their home shard."""
+    homes = {}
+    for width in range(3, 3 + 2 * count):
+        pair = (aag_text(ripple_carry_adder(width)),
+                aag_text(kogge_stone_adder(width)))
+        home, peer = home_and_peer(harness, pair)
+        homes.setdefault((home, peer), []).append(pair)
+    (home, peer), pairs = max(homes.items(), key=lambda item: len(item[1]))
+    return home, peer, pairs[:count]
 
 
 @pytest.fixture()
@@ -398,6 +424,243 @@ class TestCrossShardCache:
             harness.close()
         assert counters.get("fleet/shard-errors", 0) == 0
         assert counters.get("fleet/shard-downs", 0) == 0
+
+
+class TestMissPlacement:
+    def test_second_miss_runs_on_the_idle_peer_and_fills_home(
+        self, fleet, gate,
+    ):
+        home, peer, (first, second) = same_home_pairs(fleet, 2)
+        gate.clear()
+        with fleet.client() as client:
+            one = client.submit(*first)["job"]
+            two = client.submit(
+                *second, trace=TraceContext.new().to_wire(),
+            )["job"]
+            gate.set()
+            client.result(one, wait=True)
+            relayed = client.result(two, wait=True)
+            fleet.settle_fills()
+            again = client.submit(*second)
+        assert one.endswith("@" + home)
+        assert two.endswith("@" + peer)
+        route = [span for span in relayed["trace"]["spans"]
+                 if span["name"] == "fleet/route"]
+        assert [span["offloaded_from"] for span in route] == [home]
+        # The fill made the repeat a hit on home's own disk.
+        assert again["cached"] is True
+        assert again["job"].endswith("@" + home)
+        counters = fleet.counters()
+        assert counters["fleet/miss-offloads"] == 1
+        assert counters["fleet/home-fills"] == 1
+        assert counters["fleet/cache-home-hits"] == 1
+        assert counters.get("fleet/cache-transfers", 0) == 0
+        assert fleet.router._offloads == {}
+
+    def test_miss_stays_home_when_every_shard_is_busy(self, fleet, gate):
+        home, peer, (held_home, held_peer, third) = same_home_pairs(
+            fleet, 3,
+        )
+        gate.clear()
+        held = []
+        for shard, pair in ((home, held_home), (peer, held_peer)):
+            with ServiceClient(shard) as direct:
+                held.append((shard, direct.submit(*pair)["job"]))
+        with fleet.client() as client:
+            job = client.submit(*third)["job"]
+            gate.set()
+            assert client.result(job, wait=True)["verdict"] == "equivalent"
+        for shard, job_id in held:
+            with ServiceClient(shard) as direct:
+                direct.result(job_id, wait=True)
+        assert job.endswith("@" + home)
+        assert "fleet/miss-offloads" not in fleet.counters()
+
+    def test_peer_entry_is_transferred_not_offloaded(self, fleet, gate):
+        home, peer, (seeded, busy) = same_home_pairs(fleet, 2)
+        with ServiceClient(peer) as direct:
+            direct.check(*seeded)
+        gate.clear()
+        with ServiceClient(home) as direct:
+            held = direct.submit(*busy)["job"]
+            with fleet.client() as client:
+                response = client.submit(*seeded)
+            gate.set()
+            direct.result(held, wait=True)
+        assert response["cached"] is True
+        assert response["job"].endswith("@" + home)
+        counters = fleet.counters()
+        assert counters["fleet/cache-transfers"] == 1
+        assert "fleet/miss-offloads" not in counters
+
+    @pytest.mark.parametrize("old", ["home", "peer"])
+    def test_shard_without_idle_workers_routes_as_before(
+        self, fleet, gate, old,
+    ):
+        # A home that omits the field counts as not busy; a peer that
+        # omits it is never chosen. Either way the miss stays home.
+        home, peer, (first, second) = same_home_pairs(fleet, 2)
+        server = fleet.shards[home if old == "home" else peer]
+        for name in ("_handle_submit", "_handle_cache_verb"):
+
+            def strip(*args, _handler=getattr(server, name)):
+                response = _handler(*args)
+                response.pop("idle_workers", None)
+                return response
+
+            setattr(server, name, strip)
+        gate.clear()
+        with fleet.client() as client:
+            one = client.submit(*first)["job"]
+            two = client.submit(*second)["job"]
+            gate.set()
+            for job in (one, two):
+                client.result(job, wait=True)
+        assert one.endswith("@" + home)
+        assert two.endswith("@" + home)
+        assert "fleet/miss-offloads" not in fleet.counters()
+
+    def test_failed_fill_leaves_the_lazy_transfer(self, fleet, gate):
+        home, peer, (first, second) = same_home_pairs(fleet, 2)
+        gate.clear()
+        cache = fleet.shards[home].cache
+        with fleet.client() as client:
+            one = client.submit(*first)["job"]
+            two = client.submit(*second)["job"]
+            gate.set()
+            client.result(one, wait=True)
+
+            def full_disk(key, result, meta=None):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            cache.store = full_disk
+            try:
+                client.result(two, wait=True)
+                fleet.settle_fills()
+            finally:
+                del cache.store
+            failed = fleet.counters()
+            again = client.submit(*second)
+        assert two.endswith("@" + peer)
+        assert failed["fleet/home-fill-failures"] == 1
+        assert "fleet/home-fills" not in failed
+        assert again["cached"] is True
+        assert again["job"].endswith("@" + home)
+        assert fleet.counters()["fleet/cache-transfers"] == 1
+
+    @pytest.mark.parametrize("end", ["cancelled", "undecided"])
+    def test_cancelled_or_undecided_offload_is_never_filled(
+        self, fleet, gate, monkeypatch, end,
+    ):
+        home, peer, (first, second, blocker) = same_home_pairs(fleet, 3)
+        gate.clear()
+        held = None
+        if end == "cancelled":
+            # The peer claims a free worker while one job holds it, so
+            # the offloaded job queues there and can be cancelled.
+            monkeypatch.setattr(fleet.shards[peer], "idle_workers",
+                                lambda: 1)
+            with ServiceClient(peer) as direct:
+                held = direct.submit(*blocker)["job"]
+        with fleet.client() as client:
+            one = client.submit(*first)["job"]
+            two = client.submit(
+                *second, time_limit=0 if end == "undecided" else None,
+            )["job"]
+            assert two.endswith("@" + peer)
+            if end == "cancelled":
+                assert client.cancel(two)["cancelled"] is True
+                with pytest.raises(ServiceError) as err:
+                    client.result(two, wait=True)
+                assert err.value.code == protocol.ERR_CANCELLED
+            gate.set()
+            if end == "undecided":
+                verdict = client.result(two, wait=True)["verdict"]
+                assert verdict == "undecided"
+            client.result(one, wait=True)
+        if held is not None:
+            with ServiceClient(peer) as direct:
+                direct.result(held, wait=True)
+        counters = fleet.counters()
+        assert counters["fleet/miss-offloads"] == 1
+        assert "fleet/home-fills" not in counters
+        assert "fleet/home-fill-failures" not in counters
+        assert pair_key_of(second) not in fleet.shards[home].cache
+        assert fleet.router._offloads == {}
+        assert fleet.router._fills == set()
+
+    def test_fill_is_bound_to_the_key_across_a_peer_restart(
+        self, tmp_path, gate,
+    ):
+        # A restarted peer numbers its jobs from j000001 again, so an
+        # unrelated job there can get the routed id of an offloaded job
+        # whose result nobody fetched. Its result must not fill home.
+        harness = RouterHarness(tmp_path, health_interval=60.0)
+        try:
+            home, peer, (first, second) = same_home_pairs(harness, 2)
+            other = next(
+                pair for pair in (
+                    (aag_text(ripple_carry_adder(width)),
+                     aag_text(inject(kogge_stone_adder(width),
+                                     Fault("output_flip", 0))))
+                    for width in range(3, 15)
+                ) if home_and_peer(harness, pair)[0] == peer
+            )
+            gate.clear()
+            with harness.client() as client:
+                one = client.submit(*first)["job"]
+                two = client.submit(*second)["job"]
+                gate.set()
+                client.result(one, wait=True)
+            assert two.endswith("@" + peer)
+            with ServiceClient(peer) as direct:
+                direct.result(two.rpartition("@")[0], wait=True)
+            # Same address, fresh cache: the entry for *second* is gone.
+            harness.stop_shard(peer)
+            harness.start_shard(peer, tmp_path / "restarted")
+            with harness.client() as client:
+                three = client.submit(*other)["job"]
+                verdict = client.result(three, wait=True)["verdict"]
+                harness.settle_fills()
+                filled = pair_key_of(second) in harness.shards[home].cache
+                again = client.submit(*second)["job"]
+                repeat = client.result(again, wait=True)["verdict"]
+            counters = harness.counters()
+        finally:
+            harness.close()
+        assert three == two
+        assert verdict == "not_equivalent"
+        assert filled is False
+        assert repeat == "equivalent"
+        assert counters["fleet/home-fill-failures"] == 1
+        assert "fleet/home-fills" not in counters
+
+    @pytest.mark.parametrize("home_busy", [False, True],
+                             ids=["home-idle", "home-busy"])
+    def test_torn_peer_entry_is_not_a_transfer_source(
+        self, fleet, gate, home_busy,
+    ):
+        home, peer, (torn, busy) = same_home_pairs(fleet, 2)
+        with ServiceClient(peer) as direct:
+            direct.check(*torn)
+        path = fleet.shards[peer].cache.result_path(pair_key_of(torn))
+        with open(path, "w") as handle:
+            handle.write('{"equivalent": tru')
+        held = None
+        if home_busy:
+            gate.clear()
+            with ServiceClient(home) as direct:
+                held = direct.submit(*busy)["job"]
+        with fleet.client() as client:
+            job = client.submit(*torn)["job"]
+            gate.set()
+            response = client.result(job, wait=True)
+        if held is not None:
+            with ServiceClient(home) as direct:
+                direct.result(held, wait=True)
+        assert response["verdict"] == "equivalent"
+        assert job.endswith("@" + (peer if home_busy else home))
+        assert "fleet/cache-transfer-failures" not in fleet.counters()
 
 
 class TestTracing:

@@ -15,7 +15,13 @@ import pytest
 
 from repro import cli
 from repro.aig.aiger import read_aag, write_aag
-from repro.circuits import kogge_stone_adder, ripple_carry_adder
+from repro.analyze.schemas import CACHE_META_SCHEMA
+from repro.circuits import (
+    array_multiplier,
+    kogge_stone_adder,
+    ripple_carry_adder,
+    wallace_multiplier,
+)
 from repro.core.certify import certify
 from repro.core.serialize import result_from_dict, result_to_dict
 from repro.exit_codes import EXIT_INVALID_INPUT, EXIT_OK
@@ -222,6 +228,32 @@ class TestProofCache:
         assert cache.store("00cc", doc) is True
         assert cache.lookup("00cc") == doc
 
+    def test_put_meta_cannot_override_owned_fields(self, tmp_path):
+        cache = ProofCache(str(tmp_path / "c"))
+        assert cache.store("ab", {"equivalent": True}, meta={
+            "verdict": "not_equivalent", "key": "cd", "schema": 5,
+            "job": "j000007",
+        }) is True
+        meta = cache.read_meta("ab")
+        assert meta["verdict"] == "equivalent"
+        assert meta["key"] == "ab"
+        assert meta["schema"] == CACHE_META_SCHEMA
+        # Fields the cache does not own ride along.
+        assert meta["job"] == "j000007"
+
+    @pytest.mark.parametrize("text", ["[]", '{"equivalent": tru',
+                                      '{"equivalent": null}'],
+                             ids=["not-an-object", "torn", "undecided"])
+    def test_probe_applies_the_lookup_rule(self, tmp_path, adder_pair,
+                                           text):
+        cache = ProofCache(str(tmp_path / "c"))
+        cache.store("00ee", self._decided_doc(adder_pair))
+        with open(cache.result_path("00ee"), "w") as handle:
+            handle.write(text)
+        assert cache.lookup("00ee") is None
+        assert "00ee" not in cache
+        assert cache.keys() == []
+
     def test_recorder_counts(self, tmp_path, adder_pair):
         recorder = Recorder()
         cache = ProofCache(str(tmp_path / "c"), recorder=recorder)
@@ -306,6 +338,20 @@ class TestServerEndToEnd:
             assert set(job_stats["phases"]) == {"cache/lookup"}
             assert response2["result"] == response["result"]
             certify(result2)
+
+    def test_queue_wait_runs_to_the_worker_start(self, server, adder_pair):
+        # One worker: the second job queues behind the first one's run.
+        slow = (aag_text(array_multiplier(4)),
+                aag_text(wallace_multiplier(4)))
+        with ServiceClient(server.address) as client:
+            first = client.submit(*slow)["job"]
+            second = client.submit(*adder_pair)["job"]
+            client.result(first, wait=True)
+            response = client.result(second, wait=True)
+        job = server.jobs.get(first)
+        run = job.finished_at - job.started_at
+        wait = response["job_stats"]["phases"]["service/queue-wait"]
+        assert wait["seconds"] >= 0.5 * run > 0.0
 
     def test_symmetric_query_hits(self, server, adder_pair):
         with ServiceClient(server.address) as client:
@@ -477,6 +523,34 @@ class TestCacheVerbs:
         rebuilt = result_from_dict(document)
         assert rebuilt.equivalent is True
         certify(rebuilt)
+
+    def test_idle_workers_on_miss_and_probe(self, server, adder_pair,
+                                            big_pair, gate):
+        miss = {"verb": "submit", "aag_a": big_pair[0],
+                "aag_b": big_pair[1], "cache_only": True}
+        key = self._key(big_pair)
+        with ServiceClient(server.address) as client:
+            idle = (client.request(miss)["idle_workers"],
+                    client.request({"verb": "cache", "key": key}))
+            gate.clear()
+            job = client.submit(*adder_pair)["job"]
+            busy = (client.request(miss)["idle_workers"],
+                    client.request({"verb": "cache", "key": key}))
+            gate.set()
+            client.result(job, wait=True)
+        assert idle[0] == idle[1]["idle_workers"] == 1
+        assert busy[0] == busy[1]["idle_workers"] == 0
+        assert idle[1]["found"] is busy[1]["found"] is False
+
+    def test_torn_entry_is_absent_for_every_verb(self, server, adder_pair):
+        key = self._key(adder_pair)
+        with ServiceClient(server.address) as client:
+            client.check(*adder_pair)
+            with open(server.cache.result_path(key), "w") as handle:
+                handle.write('{"equivalent": tru')
+            assert client.cache_probe(key) == (False, None)
+            assert client.cache_get(key) == (None, None)
+            assert client.cache_stats()["entries"] == 0
 
     def test_get_miss_is_not_an_error(self, server):
         with ServiceClient(server.address) as client:
