@@ -2,8 +2,6 @@
 
 from .aig import AIG
 from .cuts import Cut, cut_function, enumerate_cuts
-from .dot import write_dot
-from .npn import cut_class_histogram, npn_canon, npn_classes
 from .aiger import (
     AigerError,
     read_aag,
@@ -33,11 +31,7 @@ __all__ = [
     "AigerError",
     "Cut",
     "cut_function",
-    "cut_class_histogram",
     "enumerate_cuts",
-    "npn_canon",
-    "npn_classes",
-    "write_dot",
     "FALSE",
     "TRUE",
     "Miter",

@@ -39,8 +39,9 @@ TRACE_SCHEMA = "repro-trace/1"
 METRICS_SCHEMA = "repro-metrics/1"
 #: Static-analysis reports (this package's own output).
 LINT_SCHEMA = "repro-lint/1"
-#: Self-contained equivalence-check certificates.
-RESULT_SCHEMA = "repro-cec-result/1"
+#: Self-contained equivalence-check certificates. ``/2`` dropped the
+#: stored ``cnf`` block: the axiom set is rebuilt from the miter.
+RESULT_SCHEMA = "repro-cec-result/2"
 #: Proof-cache entry metadata blocks.
 CACHE_META_SCHEMA = "repro-cec-cache/1"
 #: Fleet tier: the cross-shard proof-cache protocol spoken between the
@@ -174,7 +175,7 @@ SCHEMAS: Dict[str, SchemaSpec] = {
         SchemaSpec(
             RESULT_SCHEMA,
             required=("schema", "equivalent", "counterexample",
-                      "empty_clause_id", "proof", "cnf", "miter",
+                      "empty_clause_id", "proof", "miter",
                       "elapsed_seconds", "stats"),
             description="self-contained equivalence-check certificate",
         ),

@@ -10,7 +10,7 @@ advantage is exactly that it exploits it.
 import time
 
 from ..aig.miter import build_miter
-from ..cnf.tseitin import tseitin_encode
+from ..cnf.tseitin import miter_axioms, tseitin_encode
 from ..instrument import Recorder
 from ..proof.store import ProofStore
 from ..sat.solver import SAT, UNKNOWN, Solver
@@ -68,20 +68,16 @@ def monolithic_check(aig_a, aig_b, proof=True, max_conflicts=None,
     with rec.phase("monolithic/encode"):
         miter = build_miter(aig_a, aig_b)
         enc = tseitin_encode(miter.aig)
+        cnf = miter_axioms(enc, miter.output)
     store = ProofStore(validate=validate_proof, recorder=rec) \
         if proof else None
     solver = Solver(proof=store, recorder=rec, budget=budget)
     consistent = True
     with rec.phase("monolithic/load"):
-        for clause in enc.cnf.clauses:
+        for clause in cnf.clauses:
             if not solver.add_clause(clause):
                 consistent = False
                 break
-    out_cnf = enc.lit_to_cnf(miter.output)
-    cnf = enc.cnf.copy()
-    cnf.add_clause([out_cnf])
-    if consistent:
-        consistent = solver.add_clause([out_cnf])
     if consistent:
         with rec.phase("monolithic/solve"):
             result = solver.solve(max_conflicts=max_conflicts)

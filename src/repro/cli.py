@@ -231,8 +231,8 @@ def _run_remote(args):
     # re-emit canonical ASCII AIGER for the wire, so --server accepts
     # exactly the same inputs as a local run.
     try:
-        aag_a = _to_aag_text(read_auto(args.file_a))
-        aag_b = _to_aag_text(read_auto(args.file_b))
+        aig_a = read_auto(args.file_a)
+        aig_b = read_auto(args.file_b)
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID_INPUT
@@ -245,7 +245,8 @@ def _run_remote(args):
     try:
         with client:
             result, response = client.check(
-                aag_a, aag_b, recorder=trace_recorder,
+                _to_aag_text(aig_a), _to_aag_text(aig_b),
+                recorder=trace_recorder,
                 options={"sim_words": args.sim_words,
                          "seed": args.seed, "proof": True},
                 time_limit=args.time_limit,
@@ -269,14 +270,19 @@ def _run_remote(args):
         _write_chrome_trace(args.chrome_trace, response.get("trace"))
     if not args.quiet and response.get("cached"):
         print("c served from proof cache (job %s)" % response.get("job"))
-    if args.certify and result.equivalent:
+    if args.certify and result.equivalent is not None:
+        # The served certificate must answer this pair: a cache hit
+        # can hand back any document.
         try:
-            certify(result, lint=args.lint)
+            certify(result, lint=args.lint, pair=(aig_a, aig_b))
         except CertificationError as exc:
             print("certificate INVALID: %s" % exc, file=sys.stderr)
             return EXIT_INVALID_INPUT
         if not args.quiet:
-            print("certified: proof replayed successfully")
+            print("certified: %s" % (
+                "proof replayed successfully" if result.equivalent
+                else "counterexample separates the circuits"
+            ))
     if args.stats_json:
         import json
 

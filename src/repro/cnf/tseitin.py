@@ -55,8 +55,8 @@ def tseitin_encode(aig: Any) -> TseitinResult:
     """Encode *aig* into CNF with full per-node bookkeeping.
 
     Outputs are *not* constrained; callers add unit clauses or assumptions
-    for the properties they check (the miter flow adds the miter-output
-    unit clause).
+    for the properties they check (:func:`miter_axioms` adds the
+    miter-output unit clause).
 
     Returns:
         A :class:`TseitinResult`.
@@ -80,6 +80,15 @@ def tseitin_encode(aig: Any) -> TseitinResult:
         count = len(cnf.clauses)
         defining[aig_var] = (count - 3, count - 2, count - 1)
     return TseitinResult(cnf, var_of, const_clause_index, defining)
+
+
+def miter_axioms(encoding: TseitinResult, output_lit: int) -> CNF:
+    """The axiom set a miter refutation refutes: a copy of *encoding*'s
+    CNF plus the unit clause asserting the miter output *output_lit*
+    (an AIG literal)."""
+    cnf = encoding.cnf.copy()
+    cnf.add_clause([encoding.lit_to_cnf(output_lit)])
+    return cnf
 
 
 def _cnf_lit(var_of: List[int], aig_lit: int) -> int:

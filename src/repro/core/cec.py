@@ -17,6 +17,7 @@ import time
 
 from ..aig.literal import FALSE
 from ..aig.miter import build_miter
+from ..cnf.tseitin import miter_axioms
 from ..instrument import Recorder
 from ..sat.solver import SAT, UNKNOWN, UNSAT
 from .fraig import SweepEngine, SweepOptions
@@ -211,15 +212,13 @@ def _finish_equivalent(miter, engine, out_lit):
     empty_id = proof.find_empty_clause() if proof is not None else None
     if proof is not None and empty_id is None:
         raise RuntimeError("refutation finished without an empty clause")
-    cnf = engine.enc.cnf.copy()
-    cnf.add_clause([out_cnf])
     return CecResult(
         equivalent=True,
         counterexample=None,
         proof=proof,
         empty_clause_id=empty_id,
         miter=miter,
-        cnf=cnf,
+        cnf=miter_axioms(engine.enc, out_lit),
         engine=engine,
         elapsed_seconds=0.0,
     )

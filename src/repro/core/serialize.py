@@ -8,19 +8,22 @@ as an object :func:`~repro.core.certify.certify` accepts unchanged:
 * the **verdict** (equivalent / not equivalent / undecided),
 * the **counterexample** input assignment on non-equivalence,
 * the **resolution proof** as embedded TraceCheck text,
-* the **axiom set** the proof refutes (miter CNF + output unit), and
-* the **miter netlist** as embedded ASCII AIGER (the counterexample
-  certificate is checked against it),
+* the **miter netlist** as embedded ASCII AIGER, and
 * the run's ``repro-stats/1`` report.
 
-What does *not* survive the trip is the live engine: a deserialized
-result has ``engine=None``. Everything the certificate needs is
-self-contained, which is also why a cached result can be served for
-the symmetric query ``(B, A)``: the stored CNF and proof describe the
-originally built miter, and replaying them needs nothing from the
-current request.
+The axiom set the proof refutes is not stored: it is a function of
+the miter, Tseitin(miter) plus the miter-output unit
+(:func:`~repro.cnf.tseitin.miter_axioms`), and decoding an equivalent
+verdict rebuilds it into ``CecResult.cnf``. What does not survive the
+trip is the live engine: a deserialized result has ``engine=None``.
+Everything the certificate needs is in the document, which is also why
+a cached result can be served for the symmetric query ``(B, A)``: the
+proof refutes the originally built miter, and
+:func:`~repro.core.certify.certify` given the caller's pair checks that
+this miter is structurally the pair's.
 
-The document schema is ``repro-cec-result/1``. Round-tripping is exact:
+The document schema is ``repro-cec-result/2`` (``/1`` also stored the
+axiom set, as a ``cnf`` block). Round-tripping is exact:
 ``result_to_dict(result_from_dict(d)) == d`` for any document this
 module produced.
 """
@@ -29,7 +32,7 @@ import io
 
 from ..aig.aiger import read_aag, write_aag
 from ..aig.miter import Miter
-from ..cnf.clause import CNF
+from ..cnf.tseitin import miter_axioms, tseitin_encode
 from ..proof.store import ProofError
 from ..proof.tracecheck import dumps_tracecheck, parse_tracecheck
 from .cec import CecResult
@@ -42,7 +45,7 @@ class ResultFormatError(ValueError):
 
 
 def result_to_dict(result):
-    """Serialize *result* to a JSON-compatible ``repro-cec-result/1`` dict.
+    """Serialize *result* to a JSON-compatible ``repro-cec-result/2`` dict.
 
     The proof (when present) is embedded as TraceCheck text and the
     miter as ASCII AIGER text, so the document needs no side files.
@@ -50,12 +53,6 @@ def result_to_dict(result):
     proof_text = None
     if result.proof is not None:
         proof_text = dumps_tracecheck(result.proof)
-    cnf_block = None
-    if result.cnf is not None:
-        cnf_block = {
-            "num_vars": result.cnf.num_vars,
-            "clauses": [list(clause) for clause in result.cnf.clauses],
-        }
     miter_text = None
     if result.miter is not None:
         buffer = io.StringIO()
@@ -70,7 +67,6 @@ def result_to_dict(result):
         ),
         "empty_clause_id": result.empty_clause_id,
         "proof": proof_text,
-        "cnf": cnf_block,
         "miter": miter_text,
         "elapsed_seconds": result.elapsed_seconds,
         "stats": result.stats,
@@ -78,17 +74,19 @@ def result_to_dict(result):
 
 
 def result_from_dict(payload):
-    """Rebuild a :class:`CecResult` from a ``repro-cec-result/1`` dict.
+    """Rebuild a :class:`CecResult` from a ``repro-cec-result/2`` dict.
 
     The returned result carries ``engine=None`` (there is no live
     sweep engine on this side of the wire); everything
-    :func:`~repro.core.certify.certify` touches — verdict, proof, CNF,
-    miter, counterexample — is reconstructed exactly.
+    :func:`~repro.core.certify.certify` touches — verdict, proof,
+    miter, counterexample — is reconstructed exactly, and an
+    equivalent verdict's ``cnf`` is the axiom set of the decoded miter.
 
     Raises:
         ResultFormatError: on a missing/foreign schema tag or
-            structurally broken payload, including an embedded proof,
-            CNF or miter that does not decode.
+            structurally broken payload, including an embedded proof or
+            miter that does not decode, or an equivalent verdict
+            without a miter.
     """
     if not isinstance(payload, dict):
         raise ResultFormatError("result document must be a dict")
@@ -97,37 +95,45 @@ def result_from_dict(payload):
             "bad result schema tag %r" % (payload.get("schema"),)
         )
     for key in ("equivalent", "counterexample", "empty_clause_id",
-                "proof", "cnf", "miter", "elapsed_seconds", "stats"):
+                "proof", "miter", "elapsed_seconds", "stats"):
         if key not in payload:
             raise ResultFormatError("result document missing key %r" % key)
+    equivalent = payload["equivalent"]
+    if equivalent is not None and not isinstance(equivalent, bool):
+        raise ResultFormatError("bad verdict %r" % (equivalent,))
     proof = None
     if payload["proof"] is not None:
         try:
             proof, _ = parse_tracecheck(payload["proof"])
         except (ProofError, ValueError) as exc:
             raise ResultFormatError("malformed proof: %s" % exc) from exc
-    cnf = None
-    if payload["cnf"] is not None:
-        block = payload["cnf"]
-        try:
-            cnf = CNF(num_vars=int(block["num_vars"]))
-            for clause in block["clauses"]:
-                cnf.add_clause(clause)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ResultFormatError("malformed cnf: %s" % exc) from exc
     miter = None
     if payload["miter"] is not None:
         try:
             aig = read_aag(io.StringIO(payload["miter"]))
         except ValueError as exc:
             raise ResultFormatError("malformed miter: %s" % exc) from exc
+        if aig.num_outputs != 1:
+            raise ResultFormatError(
+                "miter has %d outputs, not 1" % aig.num_outputs
+            )
         miter = Miter(aig, map_a=None, map_b=None,
                       output_pairs=None, xor_lits=None)
+    cnf = None
+    if equivalent:
+        if miter is None:
+            raise ResultFormatError("equivalent result carries no miter")
+        cnf = miter_axioms(tseitin_encode(miter.aig), miter.output)
     counterexample = payload["counterexample"]
     if counterexample is not None:
-        counterexample = [int(bit) for bit in counterexample]
+        try:
+            counterexample = [int(bit) for bit in counterexample]
+        except (TypeError, ValueError) as exc:
+            raise ResultFormatError(
+                "malformed counterexample: %s" % exc
+            ) from exc
     return CecResult(
-        equivalent=payload["equivalent"],
+        equivalent=equivalent,
         counterexample=counterexample,
         proof=proof,
         empty_clause_id=payload["empty_clause_id"],

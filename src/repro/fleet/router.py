@@ -813,16 +813,23 @@ class FleetRouter:
     def _stitch_result_trace(self, routed_id, response):
         """Merge the router's stashed spans into a terminal result's
         trace document (client, router, shard, and worker spans then
-        share one trace id)."""
+        share one trace id).
+
+        A restarted shard numbers its jobs from ``j000001`` again, so a
+        stash can outlive its job and meet a later job with the same
+        routed id: it is merged only into a trace with its own trace
+        id, and dropped when it meets another."""
         spans = self._job_spans.get(routed_id)
         if spans is None:
             return
         trace = response.get("trace")
-        if isinstance(trace, dict):
+        stale = isinstance(trace, dict) and \
+            trace.get("trace_id") != spans[0]["trace_id"]
+        if isinstance(trace, dict) and not stale:
             response["trace"] = merge_trace_documents(
                 trace, {"spans": spans},
             )
-        if response.get("state") in _TERMINAL_STATES:
+        if stale or response.get("state") in _TERMINAL_STATES:
             self._job_spans.pop(routed_id, None)
 
     # ------------------------------------------------------------------

@@ -3,21 +3,26 @@
 Entries are keyed by :func:`repro.aig.structhash.pair_key` — a
 canonical structural hash of the (AIG, AIG) query pair, symmetric in
 the two circuits, salted with a canonical encoding of the engine
-options — and store the complete ``repro-cec-result/1`` document: the
+options — and store the complete ``repro-cec-result/2`` document: the
 verdict, the counterexample or the trimmed TraceCheck proof, the miter
-CNF it refutes, and the original run's stats. Because the certificate
-is self-contained, a hit is served without touching any engine and the
-client can still replay the proof end to end.
+netlist (the proof refutes its Tseitin CNF plus the output unit), and
+the original run's stats. Because the certificate is self-contained, a
+hit is served without touching any engine and the client can still
+replay the proof end to end.
 
-Only *decided* verdicts are stored: an entry is a JSON object whose
-``equivalent`` is a bool. An undecided result reflects the budget of
-the run that produced it, not the query, so caching it would wrongly
-pin later, better-funded queries. A key names a directory, so only the
-non-empty lowercase hex that ``pair_key`` produces is accepted.
+One entry rule applies to every verb (``lookup``, ``in``, ``keys()``
+and ``store``): an entry is a JSON object tagged
+``repro-cec-result/2`` whose ``equivalent`` is a bool. An undecided
+result reflects the budget of the run that produced it, not the query,
+so caching it would wrongly pin later, better-funded queries; a
+``/1`` document left by an older version reads as a miss, is refused
+by ``store``, and the next store of its key replaces it. A key names a
+directory, so only the non-empty lowercase hex that ``pair_key``
+produces is accepted.
 
 Layout (under the cache root)::
 
-    <key[:2]>/<key>/result.json   the repro-cec-result/1 document
+    <key[:2]>/<key>/result.json   the repro-cec-result/2 document
     <key[:2]>/<key>/meta.json     verdict, timestamps, options echo
 
 Writes are atomic (temp file + ``os.replace``) so a crashed or
@@ -32,7 +37,7 @@ import re
 import tempfile
 
 from ..aig.structhash import pair_key
-from ..analyze.schemas import CACHE_META_SCHEMA
+from ..analyze.schemas import CACHE_META_SCHEMA, RESULT_SCHEMA
 
 #: SweepOptions fields that select the engine configuration and hence
 #: the artifact; they are folded into the cache key in canonical form.
@@ -78,8 +83,10 @@ def valid_key(key):
 
 
 def _decided(document):
-    return isinstance(document, dict) and isinstance(
-        document.get("equivalent"), bool
+    return (
+        isinstance(document, dict)
+        and document.get("schema") == RESULT_SCHEMA
+        and isinstance(document.get("equivalent"), bool)
     )
 
 
@@ -121,10 +128,10 @@ class ProofCache:
     # ------------------------------------------------------------------
 
     def lookup(self, key):
-        """The stored ``repro-cec-result/1`` document, or ``None``.
+        """The stored ``repro-cec-result/2`` document, or ``None``.
 
-        An entry that is not a JSON object with a bool ``equivalent``
-        (interrupted write predating the atomic-rename discipline,
+        An entry that breaks the entry rule (an older schema tag, an
+        interrupted write predating the atomic-rename discipline,
         manual tampering) reads as a miss rather than an error; the
         next store replaces it.
         """
@@ -162,15 +169,16 @@ class ProofCache:
     def store(self, key, result_doc, meta=None):
         """Persist a decided result document under *key*.
 
-        Undecided or malformed documents and non-hex keys are refused
-        with ``ValueError`` before the disk is touched. Returns True
+        Documents that break the entry rule (undecided, malformed or
+        of another schema) and non-hex keys are refused with
+        ``ValueError`` before the disk is touched. Returns True
         when an entry was written, False when a valid one was already
         present (idempotent).
         """
         if not _decided(result_doc):
             raise ValueError(
-                "refusing to cache an undecided or malformed result "
-                "(key %r)" % (key,)
+                "refusing to cache an undecided, malformed or non-%s "
+                "result (key %r)" % (RESULT_SCHEMA, key)
             )
         recorder = self.recorder
         if recorder is None:

@@ -12,15 +12,17 @@ Verbs mirror the wire protocol::
 
 ``submit --wait`` prints the verdict like ``repro-cec`` and exits with
 the same codes: 0 equivalent, 1 not equivalent, 2 undecided,
-3 invalid input. ``--certify-local`` replays the returned proof on the
-client before trusting the verdict.
+3 invalid input. ``--certify-local`` replays the returned certificate
+on the client, against the submitted pair, before trusting the verdict.
 """
 
+import io
 import json
 import sys
 import time
 
 from .. import __version__
+from ..aig.aiger import read_aag
 from ..core.certify import CertificationError, certify
 from ..core.serialize import ResultFormatError, result_from_dict
 from ..exit_codes import (
@@ -245,13 +247,17 @@ def _write_trace_outputs(trace_json, trace_chrome, response):
             handle.write("\n")
 
 
-def _finish(response, certify_local, stats_json):
-    """Common tail of submit --wait / result: print verdict, exit code."""
+def _finish(response, stats_json, pair=None):
+    """Common tail of submit --wait / result: print verdict, exit code.
+
+    With *pair*, the submitted ``(aig_a, aig_b)``, the returned
+    certificate is checked locally against it first (--certify-local).
+    """
     if stats_json:
         _write_stats(stats_json, response)
     verdict = response.get("verdict")
     cached = " (cached)" if response.get("cached") else ""
-    if certify_local:
+    if pair is not None:
         try:
             result = result_from_dict(response["result"])
         except ResultFormatError as exc:
@@ -259,7 +265,7 @@ def _finish(response, certify_local, stats_json):
             return EXIT_INVALID_INPUT
         if result.equivalent is not None:
             try:
-                certify(result)
+                certify(result, pair=pair)
             except CertificationError as exc:
                 print("certificate INVALID: %s" % exc, file=sys.stderr)
                 return EXIT_INVALID_INPUT
@@ -363,6 +369,10 @@ def _run(client, args):
             with open(args.aag_b) as handle:
                 aag_b = handle.read()
             options = _parse_options(args.option)
+            pair = (
+                (read_aag(io.StringIO(aag_a)), read_aag(io.StringIO(aag_b)))
+                if args.certify_local else None
+            )
         except (OSError, ValueError) as exc:
             print("repro-client: %s" % exc, file=sys.stderr)
             return EXIT_INVALID_INPUT
@@ -384,7 +394,7 @@ def _run(client, args):
             _write_trace_outputs(
                 args.trace_json, args.trace_chrome, response
             )
-            return _finish(response, args.certify_local, args.stats_json)
+            return _finish(response, args.stats_json, pair)
         submitted = client.submit(
             aag_a, aag_b, options=options,
             time_limit=args.time_limit,
@@ -397,7 +407,7 @@ def _run(client, args):
         response = client.result(
             submitted["job"], wait=True, on_update=_print_heartbeat,
         )
-        return _finish(response, args.certify_local, args.stats_json)
+        return _finish(response, args.stats_json, pair)
     if args.command == "status":
         if args.follow:
             return _follow_status(client, args.job, args.interval)
@@ -426,7 +436,7 @@ def _run(client, args):
                 indent=2, sort_keys=True,
             ))
             return EXIT_UNDECIDED
-        return _finish(response, False, args.stats_json)
+        return _finish(response, args.stats_json)
     if args.command == "cancel":
         response = client.cancel(args.job)
         print("cancelled" if response.get("cancelled")

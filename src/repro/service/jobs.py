@@ -44,7 +44,7 @@ class Job:
         cached: True when the answer came from the proof cache.
         verdict: ``"equivalent" | "not_equivalent" | "undecided"`` once
             done.
-        result: the ``repro-cec-result/1`` document once done.
+        result: the ``repro-cec-result/2`` document once done.
         error: ``{"code", "message"}`` once failed/cancelled.
         worker_stats: the worker's ``repro-stats/1`` report (None for
             cache hits — nothing ran).
@@ -93,12 +93,6 @@ class Job:
     # Transitions (called under the table lock or from the completion
     # callback; the event makes terminal-state waits race-free).
     # ------------------------------------------------------------------
-
-    def mark_running(self):
-        # Handed to the pool. When a worker picks the job up is known
-        # only from the worker's own start stamp, which the server
-        # copies into ``started_at`` once the job finishes.
-        self.state = RUNNING
 
     def finish(self, verdict, result, worker_stats=None, cached=False):
         self.verdict = verdict
@@ -149,6 +143,14 @@ class Job:
 class JobTable:
     """Thread-safe registry of all jobs plus bounded admission.
 
+    The pool runs jobs in admission order, one per worker, so the table
+    knows which admitted jobs are running without asking the pool: the
+    oldest ``workers`` unfinished ones. A job is admitted ``running``
+    when a worker is free and ``queued`` otherwise, and each job that
+    leaves promotes the oldest queued one. (When a worker actually
+    picks a job up is known only from the worker's own start stamp,
+    which the server copies into ``started_at`` once the job finishes.)
+
     Args:
         queue_limit: maximum number of *non-terminal* jobs (queued or
             running, across the whole pool). ``admit`` raises
@@ -159,13 +161,15 @@ class JobTable:
             memory stays bounded over its lifetime; querying an evicted
             job answers ``unknown job``. Non-terminal jobs are never
             evicted.
+        workers: how many jobs the pool runs at once.
     """
 
     #: Default number of finished jobs retained for late queries.
     DEFAULT_RETAIN_TERMINAL = 256
 
-    def __init__(self, queue_limit=32, retain_terminal=None):
+    def __init__(self, queue_limit=32, retain_terminal=None, workers=1):
         self.queue_limit = queue_limit
+        self.workers = workers
         self.retain_terminal = (
             self.DEFAULT_RETAIN_TERMINAL
             if retain_terminal is None else retain_terminal
@@ -173,6 +177,7 @@ class JobTable:
         self._lock = threading.Lock()
         self._jobs = {}
         self._pending = 0
+        self._queued = collections.deque()
         self._terminal_order = collections.deque()
         self._ids = itertools.count(1)
 
@@ -191,6 +196,8 @@ class JobTable:
             job = Job(self.new_job_id(), key=key)
             self._jobs[job.id] = job
             self._pending += 1
+            self._queued.append(job)
+            self._promote()
             return job
 
     def add_terminal(self, key=None):
@@ -209,6 +216,14 @@ class JobTable:
         with self._lock:
             if self._pending > 0:
                 self._pending -= 1
+            if job in self._queued:  # cancelled before a worker took it
+                self._queued.remove(job)
+            self._promote()
+
+    def _promote(self):
+        while self._queued and \
+                self._pending - len(self._queued) < self.workers:
+            self._queued.popleft().state = RUNNING
 
     def note_terminal(self, job):
         """Record that *job* reached a terminal state; evict the oldest

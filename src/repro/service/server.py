@@ -40,7 +40,7 @@ from ..instrument.progress import (
 from ..instrument.tracing import merge_trace_documents, new_span_id
 from . import protocol
 from .cache import ProofCache, cache_key, valid_key
-from .jobs import DONE, QUEUED, JobTable, QueueFullError
+from .jobs import DONE, JobTable, QueueFullError
 from .metrics_http import MetricsHTTPServer
 from .worker import build_options, check_budget, execute_job
 
@@ -155,7 +155,8 @@ class CecServer:
                 )
         self.workers = workers
         self.jobs = JobTable(
-            queue_limit=queue_limit, retain_terminal=retain_jobs
+            queue_limit=queue_limit, retain_terminal=retain_jobs,
+            workers=max(workers, 1),
         )
         self.recorder = recorder if recorder is not None else Recorder()
         self.recorder.meta.setdefault("tool", "repro-serve")
@@ -493,7 +494,6 @@ class CecServer:
             "progress_path": job.progress_path,
             "progress_interval": self.progress_interval,
         }
-        job.mark_running()
         try:
             job.future = self._executor.submit(execute_job, payload)
         except RuntimeError as exc:  # pool already shut down
@@ -513,7 +513,7 @@ class CecServer:
         )
         self.recorder.gauge("service/queue-depth", self.jobs.pending())
         return protocol.ok_response(
-            "submit", job=job.id, state=QUEUED, cached=False,
+            "submit", job=job.id, state=job.state, cached=False,
             queue_depth=self.jobs.pending(),
         )
 

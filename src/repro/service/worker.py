@@ -3,7 +3,7 @@
 :func:`execute_job` is the only function the server submits to its
 pool. It is deliberately self-contained and picklable-friendly: the
 request and the response are plain dicts (AIGER text in, a
-``repro-cec-result/1`` document out), so the same function runs
+``repro-cec-result/2`` document out), so the same function runs
 identically under a :class:`~concurrent.futures.ProcessPoolExecutor`,
 an in-process thread (``--workers 0``), or a bare call in tests.
 
@@ -83,7 +83,7 @@ def execute_job(request):
 
     Returns one of::
 
-        {"ok": True, "verdict": ..., "result": <repro-cec-result/1>,
+        {"ok": True, "verdict": ..., "result": <repro-cec-result/2>,
          "stats": <repro-stats/1>, "trace": <repro-trace/1>,
          "metrics": <repro-metrics/1>, "started_at": <epoch seconds>}
         {"ok": False, "error": {"code": ..., "message": ...}}

@@ -1,13 +1,36 @@
 """Tests for end-to-end certification."""
 
+import os
+
 import pytest
 
 from repro import check_equivalence
-from repro.aig import lit_not
+from repro.aig import AIG, lit_not, read_aag
 from repro.circuits import parity_chain, parity_tree, ripple_carry_adder, \
     kogge_stone_adder
-from repro.core import CertificationError, SweepOptions, certify
+from repro.circuits.faults import Fault, inject
+from repro.core import CertificationError, SweepOptions, certify, \
+    result_from_dict, result_to_dict
 from repro.core.cec import CecResult
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "examples", "data")
+
+
+def data_pair(name):
+    return (read_aag(os.path.join(DATA, name + "_a.aag")),
+            read_aag(os.path.join(DATA, name + "_b.aag")))
+
+
+def served(result):
+    """*result* as a client receives it: through its JSON document."""
+    return result_from_dict(result_to_dict(result))
+
+
+def two_input(gate):
+    aig = AIG()
+    a, b = aig.add_input(), aig.add_input()
+    aig.add_output(gate(aig, a, b))
+    return aig
 
 
 class TestCertifyEquivalence:
@@ -98,3 +121,49 @@ class TestCertifyNonEquivalence:
         result.equivalent = None
         with pytest.raises(CertificationError, match="undecided"):
             certify(result)
+
+
+class TestCertifyAgainstThePair:
+    """``certify(result, pair=(A, B))`` binds a result to its query."""
+
+    def test_another_querys_certificate_is_rejected(self):
+        add08_a, add08_b = data_pair("add08")
+        mutant = inject(add08_b, Fault("output_flip", 0))
+        assert check_equivalence(add08_a, mutant).equivalent is False
+        forged = served(check_equivalence(*data_pair("cmp10")))
+        certify(forged)  # valid on its own ...
+        with pytest.raises(CertificationError, match="another query"):
+            certify(forged, pair=(add08_a, mutant))  # ... not for add08
+
+    def test_the_pair_and_its_swap_certify(self):
+        aig_a, aig_b = data_pair("add08")
+        result = served(check_equivalence(aig_a, aig_b))
+        certify(result, pair=(aig_a, aig_b))
+        # The cache serves (B, A) from the (A, B) entry.
+        certify(result, pair=(aig_b, aig_a))
+
+    def test_counterexample_is_checked_on_the_pair(self):
+        and_gate = two_input(lambda aig, a, b: aig.add_and(a, b))
+        or_gate = two_input(lambda aig, a, b: aig.add_or(a, b))
+        result = served(check_equivalence(and_gate, or_gate))
+        assert certify(result, pair=(and_gate, or_gate)) is True
+        assert certify(result, pair=(or_gate, and_gate)) is True
+        result.counterexample = [1, 1]  # AND and OR agree here
+        with pytest.raises(CertificationError, match="does not separate"):
+            certify(result, pair=(and_gate, or_gate))
+
+    def test_counterexample_of_another_query_is_rejected(self):
+        and_gate = two_input(lambda aig, a, b: aig.add_and(a, b))
+        or_gate = two_input(lambda aig, a, b: aig.add_or(a, b))
+        xor_gate = two_input(lambda aig, a, b: aig.add_xor(a, b))
+        result = served(check_equivalence(and_gate, xor_gate))
+        with pytest.raises(CertificationError, match="another query"):
+            certify(result, pair=(and_gate, or_gate))
+
+    def test_a_pair_without_a_miter_is_rejected(self):
+        add08_a, _ = data_pair("add08")
+        cmp10_a, _ = data_pair("cmp10")
+        assert add08_a.num_inputs != cmp10_a.num_inputs
+        result = served(check_equivalence(*data_pair("add08")))
+        with pytest.raises(CertificationError, match="no miter"):
+            certify(result, pair=(add08_a, cmp10_a))

@@ -19,6 +19,7 @@ import urllib.request
 import pytest
 
 from repro.aig.aiger import read_aag, write_aag
+from repro.analyze.schemas import RESULT_SCHEMA
 from repro.circuits import kogge_stone_adder, ripple_carry_adder
 from repro.circuits.faults import Fault, inject
 from repro.fleet import AsyncServiceClient, FleetRouter, HashRing
@@ -415,7 +416,8 @@ class TestCrossShardCache:
                 for equivalent in ("yes", 2, "yes"):
                     with pytest.raises(ServiceError) as err:
                         client.cache_put("%040x" % 0xBAD,
-                                         {"equivalent": equivalent})
+                                         {"schema": RESULT_SCHEMA,
+                                          "equivalent": equivalent})
                     assert err.value.code == protocol.ERR_BAD_INPUT
                 assert client.ping()["ok"] is True
             counters = harness.counters()
@@ -695,6 +697,34 @@ class TestTracing:
         route = spans["fleet/route"]
         assert route["parent_id"] == spans["client/request"]["span_id"]
         assert spans["service/job"]["parent_id"] == route["span_id"]
+
+    def test_a_reused_routed_id_gets_no_stale_spans(
+        self, tmp_path, adder_pair,
+    ):
+        # A restarted shard numbers its jobs from j000001 again, so the
+        # spans stashed for a traced job whose result was fetched from
+        # the shard directly meet the next job with that routed id.
+        harness = RouterHarness(tmp_path, health_interval=60.0)
+        try:
+            with harness.client() as client:
+                first = client.submit(
+                    *adder_pair, trace=TraceContext.new().to_wire(),
+                )["job"]
+            raw, _, shard = first.rpartition("@")
+            with ServiceClient(shard) as direct:
+                direct.result(raw, wait=True)
+            harness.stop_shard(shard)
+            harness.start_shard(shard, tmp_path / "restarted")
+            with harness.client() as client:
+                again = client.submit(*adder_pair)["job"]
+                trace = client.result(again, wait=True)["trace"]
+            stash = dict(harness.router._job_spans)
+        finally:
+            harness.close()
+        assert again == first
+        assert len({span["trace_id"] for span in trace["spans"]}) == 1
+        assert "fleet/route" not in {span["name"] for span in trace["spans"]}
+        assert stash == {}
 
 
 class TestHealthAndFailover:

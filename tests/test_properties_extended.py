@@ -1,4 +1,4 @@
-"""Extended property-based tests: cuts, NPN, rewriting, proofs round-trips."""
+"""Extended property-based tests: cuts, rewriting, proofs round-trips."""
 
 import io
 import itertools
@@ -7,8 +7,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.aig import AIG, cut_function, enumerate_cuts
-from repro.aig.npn import apply_transform, npn_canon, npn_transforms, \
-    table_mask
 from repro.proof import (
     ProofStore,
     check_proof,
@@ -88,24 +86,6 @@ class TestCutProperties:
         cuts = enumerate_cuts(aig, k=3)
         for var in aig.and_vars():
             assert any(cut.leaves == (var,) for cut in cuts[var])
-
-
-class TestNpnProperties:
-    @RELAXED
-    @given(st.integers(0, 255), st.data())
-    def test_canon_is_class_invariant(self, table, data):
-        canon, _ = npn_canon(table, 3)
-        transforms = list(npn_transforms(3))
-        transform = data.draw(st.sampled_from(transforms))
-        variant = apply_transform(table, 3, *transform)
-        assert npn_canon(variant, 3)[0] == canon
-
-    @RELAXED
-    @given(st.integers(0, 255))
-    def test_canon_is_minimum(self, table):
-        canon, _ = npn_canon(table, 3)
-        assert canon <= table
-        assert canon <= (table ^ table_mask(3))
 
 
 class TestRewriteProperties:

@@ -1,13 +1,17 @@
-"""JSON round-trips of ``CecResult`` (the ``repro-cec-result/1`` schema)."""
+"""JSON round-trips of ``CecResult`` (the ``repro-cec-result/2`` schema)."""
 
+import functools
+import glob
 import json
+import os
 
 import pytest
 
 from repro import check_equivalence
-from repro.aig import lit_not, lit_sign, lit_var
+from repro.aig import lit_not, lit_sign, lit_var, read_aag
 from repro.aig.aig import AIG
-from repro.circuits import kogge_stone_adder, ripple_carry_adder
+from repro.analyze.schemas import spec_for
+from repro.circuits import SUITE, kogge_stone_adder, ripple_carry_adder
 from repro.core import (
     RESULT_SCHEMA,
     ResultFormatError,
@@ -18,6 +22,24 @@ from repro.core import (
     verdict_name,
 )
 from repro.instrument import Budget
+
+DATA = os.path.join(os.path.dirname(__file__), "..", "examples", "data")
+
+
+def read_pair(path_a):
+    return read_aag(path_a), read_aag(path_a.replace("_a.aag", "_b.aag"))
+
+
+def equivalent_pairs():
+    """One param per equivalent pair of the suite and of
+    ``examples/data``: a callable returning ``(aig_a, aig_b)``."""
+    pairs = [pytest.param(pair.build, id=pair.name) for pair in SUITE]
+    for path_a in sorted(glob.glob(os.path.join(DATA, "*_a.aag"))):
+        pairs.append(pytest.param(
+            functools.partial(read_pair, path_a),
+            id="data-" + os.path.basename(path_a)[:-len("_a.aag")],
+        ))
+    return pairs
 
 
 def equivalent_result():
@@ -80,7 +102,13 @@ class TestRoundTrip:
 
     def test_round_tripped_proof_certifies(self):
         back = result_from_dict(result_to_dict(equivalent_result()))
-        certify(back)  # replays the proof against the embedded CNF
+        certify(back)  # replays the proof against the miter's axioms
+
+    def test_document_has_no_cnf_block(self):
+        for result in (equivalent_result(), inequivalent_result()):
+            doc = result_to_dict(result)
+            assert "cnf" not in doc
+            assert set(doc) == spec_for(RESULT_SCHEMA).required
 
     def test_counterexample_round_trip(self):
         result = inequivalent_result()
@@ -129,10 +157,37 @@ class TestValidation:
         with pytest.raises(ResultFormatError, match="malformed proof"):
             result_from_dict(doc)
 
-    def test_rejects_a_tautological_cnf_clause(self):
+    def test_rejects_a_version_1_document(self):
         doc = result_to_dict(equivalent_result())
-        doc["cnf"]["clauses"].append([1, -1])
-        with pytest.raises(ResultFormatError, match="malformed cnf"):
+        doc["schema"] = "repro-cec-result/1"
+        doc["cnf"] = {"num_vars": 1, "clauses": [[-1]]}
+        with pytest.raises(ResultFormatError, match="schema"):
+            result_from_dict(doc)
+
+    def test_rejects_an_equivalent_verdict_without_a_miter(self):
+        doc = result_to_dict(equivalent_result())
+        doc["miter"] = None
+        with pytest.raises(ResultFormatError, match="no miter"):
+            result_from_dict(doc)
+
+    def test_rejects_a_miter_with_two_outputs(self):
+        doc = result_to_dict(equivalent_result())
+        doc["miter"] = "aag 1 1 0 2 0\n2\n2\n3\n"
+        with pytest.raises(ResultFormatError, match="2 outputs"):
+            result_from_dict(doc)
+
+    @pytest.mark.parametrize("verdict", ["yes", 1, [True]])
+    def test_rejects_a_non_bool_verdict(self, verdict):
+        doc = result_to_dict(equivalent_result())
+        doc["equivalent"] = verdict
+        with pytest.raises(ResultFormatError, match="bad verdict"):
+            result_from_dict(doc)
+
+    @pytest.mark.parametrize("cex", [7, ["x"], [None]])
+    def test_rejects_a_malformed_counterexample(self, cex):
+        doc = result_to_dict(inequivalent_result())
+        doc["counterexample"] = cex
+        with pytest.raises(ResultFormatError, match="counterexample"):
             result_from_dict(doc)
 
     def test_rejects_a_broken_miter(self):
@@ -140,3 +195,18 @@ class TestValidation:
         doc["miter"] = "aag x\n"
         with pytest.raises(ResultFormatError, match="malformed miter"):
             result_from_dict(doc)
+
+
+class TestAxiomSet:
+    """The decoded axiom set is the engine's, clause for clause."""
+
+    @pytest.mark.parametrize("build", equivalent_pairs())
+    def test_decoded_cnf_is_the_refuted_axiom_set(self, build):
+        result = check_equivalence(*build())
+        assert result.equivalent is True
+        back = result_from_dict(result_to_dict(result))
+        assert back.cnf.num_vars == result.cnf.num_vars
+        assert back.cnf.clauses == result.cnf.clauses
+        certify(back)
+        aig_a, aig_b = build()
+        certify(back, pair=(aig_b, aig_a))  # the cache serves the swap

@@ -13,9 +13,9 @@ import time
 
 import pytest
 
-from repro import cli
+from repro import check_equivalence, cli
 from repro.aig.aiger import read_aag, write_aag
-from repro.analyze.schemas import CACHE_META_SCHEMA
+from repro.analyze.schemas import CACHE_META_SCHEMA, RESULT_SCHEMA
 from repro.circuits import (
     array_multiplier,
     kogge_stone_adder,
@@ -59,6 +59,16 @@ def big_pair():
     return (
         aag_text(ripple_carry_adder(16)), aag_text(kogge_stone_adder(16))
     )
+
+
+def as_version_1(document):
+    """Equivalent *document* as a ``repro-cec-result/1`` cache entry,
+    which also stored the refuted axiom set as a ``cnf`` block."""
+    cnf = result_from_dict(document).cnf
+    return dict(document, schema="repro-cec-result/1", cnf={
+        "num_vars": cnf.num_vars,
+        "clauses": [list(clause) for clause in cnf.clauses],
+    })
 
 
 def file_tree(root):
@@ -136,6 +146,16 @@ class TestJobTable:
         table = JobTable(queue_limit=10)
         ids = {table.admit().id for _ in range(5)}
         assert len(ids) == 5
+
+    def test_jobs_run_in_admission_order_one_per_worker(self):
+        table = JobTable(queue_limit=10, workers=2)
+        jobs = [table.admit() for _ in range(4)]
+        assert [job.state for job in jobs] == \
+            ["running", "running", "queued", "queued"]
+        table.release(jobs[3])  # cancelled while queued: no worker freed
+        assert jobs[2].state == "queued"
+        table.release(jobs[0])
+        assert jobs[2].state == "running"
 
     def test_terminal_eviction_bounds_table(self):
         table = JobTable(queue_limit=10, retain_terminal=2)
@@ -230,7 +250,8 @@ class TestProofCache:
 
     def test_put_meta_cannot_override_owned_fields(self, tmp_path):
         cache = ProofCache(str(tmp_path / "c"))
-        assert cache.store("ab", {"equivalent": True}, meta={
+        document = {"schema": RESULT_SCHEMA, "equivalent": True}
+        assert cache.store("ab", document, meta={
             "verdict": "not_equivalent", "key": "cd", "schema": 5,
             "job": "j000007",
         }) is True
@@ -253,6 +274,22 @@ class TestProofCache:
         assert cache.lookup("00ee") is None
         assert "00ee" not in cache
         assert cache.keys() == []
+
+    def test_version_1_entry_is_absent_and_replaced(
+        self, tmp_path, adder_pair,
+    ):
+        cache = ProofCache(str(tmp_path / "c"))
+        doc = self._decided_doc(adder_pair)
+        cache.store("00ff", doc)
+        with open(cache.result_path("00ff"), "w") as handle:
+            json.dump(as_version_1(doc), handle)
+        assert cache.lookup("00ff") is None
+        assert "00ff" not in cache
+        assert cache.keys() == []
+        with pytest.raises(ValueError):
+            cache.store("00aa", as_version_1(doc))
+        assert cache.store("00ff", doc) is True
+        assert cache.lookup("00ff") == doc
 
     def test_recorder_counts(self, tmp_path, adder_pair):
         recorder = Recorder()
@@ -352,6 +389,23 @@ class TestServerEndToEnd:
         run = job.finished_at - job.started_at
         wait = response["job_stats"]["phases"]["service/queue-wait"]
         assert wait["seconds"] >= 0.5 * run > 0.0
+
+    def test_a_job_waiting_for_the_worker_reads_queued(
+        self, server, adder_pair, big_pair, gate,
+    ):
+        gate.clear()
+        with ServiceClient(server.address) as client:
+            submits = [client.submit(*big_pair), client.submit(*adder_pair)]
+            jobs = [submitted["job"] for submitted in submits]
+            held = [client.status(job)["state"] for job in jobs]
+            progress = client.progress(jobs[1])["state"]
+            gate.set()
+            final = [client.result(job, wait=True)["state"] for job in jobs]
+        assert [submitted["state"] for submitted in submits] == \
+            ["running", "queued"]
+        assert held == ["running", "queued"]
+        assert progress == "queued"
+        assert final == ["done", "done"]
 
     def test_symmetric_query_hits(self, server, adder_pair):
         with ServiceClient(server.address) as client:
@@ -552,6 +606,28 @@ class TestCacheVerbs:
             assert client.cache_get(key) == (None, None)
             assert client.cache_stats()["entries"] == 0
 
+    def test_version_1_entry_is_a_miss_for_every_verb(
+        self, server, adder_pair,
+    ):
+        key = self._key(adder_pair)
+        with ServiceClient(server.address) as client:
+            result, _ = client.check(*adder_pair)
+            document = result_to_dict(result)
+            with open(server.cache.result_path(key), "w") as handle:
+                json.dump(as_version_1(document), handle)
+            assert client.cache_probe(key) == (False, None)
+            assert client.cache_get(key) == (None, None)
+            assert client.cache_stats()["entries"] == 0
+            with pytest.raises(ServiceError) as err:
+                client.cache_put("%040x" % 0xFEED, as_version_1(document))
+            # The next submit solves the pair again, and its store
+            # replaces the old entry.
+            assert client.check(*adder_pair)[1]["cached"] is False
+            assert client.submit(*adder_pair)["cached"] is True
+            stored, _ = client.cache_get(key)
+        assert err.value.code == protocol.ERR_BAD_INPUT
+        assert stored["schema"] == RESULT_SCHEMA
+
     def test_get_miss_is_not_an_error(self, server):
         with ServiceClient(server.address) as client:
             assert client.cache_get("%040x" % 0xFEED) == (None, None)
@@ -612,7 +688,8 @@ class TestCacheVerbs:
         key = "%040x" % 0xBAD
         with ServiceClient(server.address) as client:
             with pytest.raises(ServiceError) as err:
-                client.cache_put(key, {"equivalent": equivalent})
+                client.cache_put(key, {"schema": RESULT_SCHEMA,
+                                       "equivalent": equivalent})
             # The handler survives: the same connection still answers.
             assert client.ping()["ok"] is True
         assert err.value.code == protocol.ERR_BAD_INPUT
@@ -1062,22 +1139,29 @@ def _drop_last_antecedent(document):
     document["proof"] = "\n".join(lines[:-1] + [" ".join(parts)]) + "\n"
 
 
-def _add_tautological_clause(document):
-    document["cnf"]["clauses"].append([1, -1])
+def _add_foreign_proof_axiom(document):
+    # (1 2) is no clause of Tseitin(miter) plus the output unit: its
+    # two-literal clauses all hold a negative literal.
+    lines = document["proof"].splitlines()
+    next_id = int(lines[-1].split()[0]) + 1
+    document["proof"] += "%d 1 2 0 0\n" % next_id
 
 
-def _drop_first_proof_axiom(document):
-    first_line = document["proof"].split("\n", 1)[0].split()
-    axiom = sorted(int(token) for token in first_line[1:-2])
-    document["cnf"]["clauses"] = [
-        clause for clause in document["cnf"]["clauses"]
-        if sorted(clause) != axiom
-    ]
+def _file_another_querys_certificate(document):
+    # A valid certificate, but of cmp10: filed under add08's key, it
+    # must not pass as add08's answer.
+    cmp10 = [os.path.join(DATA, "cmp10_a.aag"),
+             os.path.join(DATA, "cmp10_b.aag")]
+    result = check_equivalence(*(read_aag(path) for path in cmp10))
+    certify(result)
+    document.clear()
+    document.update(result_to_dict(result))
 
 
 class TestCorruptCertificateFromCache:
-    """A cache entry corrupted on disk reaches each certifying client
-    as ``certificate INVALID`` and exit 3, never a traceback."""
+    """A cache entry corrupted or mis-filed on disk reaches each
+    certifying client as ``certificate INVALID`` and exit 3, never a
+    traceback or a verdict."""
 
     @staticmethod
     def _tamper(server, mutate):
@@ -1091,7 +1175,7 @@ class TestCorruptCertificateFromCache:
             json.dump(document, handle)
 
     @pytest.mark.parametrize(
-        "mutate", [_drop_last_antecedent, _add_tautological_clause],
+        "mutate", [_drop_last_antecedent, _file_another_querys_certificate],
     )
     def test_repro_client_certify_local(self, server, mutate, capsys):
         argv = ["--server", server.address, "submit", *ADD08, "--wait",
@@ -1103,7 +1187,7 @@ class TestCorruptCertificateFromCache:
         assert "certificate INVALID" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "mutate", [_drop_last_antecedent, _add_tautological_clause],
+        "mutate", [_drop_last_antecedent, _file_another_querys_certificate],
     )
     def test_repro_cec_server_certify(self, server, mutate, capsys):
         argv = [*ADD08, "--server", server.address, "--certify", "--quiet"]
@@ -1114,13 +1198,16 @@ class TestCorruptCertificateFromCache:
         assert "certificate INVALID" in capsys.readouterr().err
 
     def test_repro_cec_server_rejects_a_foreign_axiom(self, server, capsys):
-        # The document decodes, but its proof refutes another formula.
+        # The document decodes, but its proof has an axiom outside
+        # the miter's axiom set.
         argv = [*ADD08, "--server", server.address, "--certify", "--quiet"]
         assert cli.main(argv) == EXIT_OK
-        self._tamper(server, _drop_first_proof_axiom)
+        self._tamper(server, _add_foreign_proof_axiom)
         capsys.readouterr()
         assert cli.main(argv) == EXIT_INVALID_INPUT
-        assert "certificate INVALID" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "certificate INVALID" in err
+        assert "not a clause of the reference CNF" in err
 
 
 class TestResultTimeoutValidation:
