@@ -92,6 +92,18 @@ def _name_permutation(names_a, names_b, kind):
     return [index_b[name] for name in names_a]
 
 
+def check_interface(aig_a, aig_b):
+    """Raise ``ValueError`` unless the circuits have the same numbers
+    of inputs and outputs (the precondition of every engine)."""
+    if (aig_a.num_inputs != aig_b.num_inputs
+            or aig_a.num_outputs != aig_b.num_outputs):
+        raise ValueError(
+            "interface mismatch: %dx%d vs %dx%d inputs/outputs"
+            % (aig_a.num_inputs, aig_a.num_outputs,
+               aig_b.num_inputs, aig_b.num_outputs)
+        )
+
+
 def build_miter(aig_a, aig_b, name="", match_names=False):
     """Build the miter of two input-compatible AIGs.
 

@@ -25,6 +25,7 @@ class MonolithicResult:
         proof: :class:`~repro.proof.store.ProofStore` on equivalence
             (when logging was enabled).
         cnf: the refuted axiom set (miter CNF + output unit).
+        miter: the :class:`~repro.aig.miter.Miter` that was solved.
         solver_stats: the solver's counters.
         elapsed_seconds: wall-clock solve time (encoding included).
         stats: the run's ``repro-stats/1`` report dict.
@@ -41,6 +42,7 @@ class MonolithicResult:
         self.solver_stats = solver_stats
         self.elapsed_seconds = elapsed_seconds
         self.stats = stats
+        self.miter = None
 
     def __repr__(self):
         return "MonolithicResult(equivalent=%r)" % (self.equivalent,)
@@ -109,5 +111,6 @@ def monolithic_check(aig_a, aig_b, proof=True, max_conflicts=None,
         rec.gauge("proof/axioms", store.num_axioms)
         rec.gauge("proof/derived", store.num_derived)
         rec.gauge("proof/resolutions", store.num_resolutions)
+    outcome.miter = miter
     outcome.stats = rec.report(budget=budget)
     return outcome

@@ -67,18 +67,9 @@ def build_parser():
         help="write the run's repro-stats/1 JSON report to PATH",
     )
     parser.add_argument(
-        "--trace", dest="trace_events", metavar="PATH",
-        help="append JSONL instrumentation events to PATH",
-    )
-    parser.add_argument(
         "--time-limit", type=float, default=None, metavar="SECONDS",
         help="wall-clock budget; an unfinished check reports UNDECIDED "
         "and exits 2 (invalid input exits 3)",
-    )
-    parser.add_argument(
-        "--conflict-limit", type=int, default=None, metavar="N",
-        help="accepted for CLI uniformity (proof checking performs no "
-        "SAT search, so this limit never triggers)",
     )
     return parser
 
@@ -86,7 +77,7 @@ def build_parser():
 def main(argv=None):
     """CLI entry point."""
     args = build_parser().parse_args(argv)
-    recorder = Recorder(trace_path=args.trace_events)
+    recorder = Recorder()
     recorder.meta.update({"tool": "repro-checkproof", "trace": args.trace})
     budget = Budget(time_limit=args.time_limit) \
         if args.time_limit is not None else None
@@ -96,7 +87,6 @@ def main(argv=None):
     finally:
         if args.stats_json:
             recorder.write_json(args.stats_json, budget=budget)
-        recorder.close()
     return code
 
 

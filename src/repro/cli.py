@@ -12,6 +12,7 @@ import sys
 
 from . import __version__
 from .aig.aiger import read_auto
+from .aig.miter import check_interface, match_interfaces_by_name
 from .baselines.bdd_cec import bdd_check
 from .baselines.monolithic import monolithic_check
 from .core.cec import check_equivalence
@@ -106,11 +107,6 @@ def build_parser():
         "counters, proof sizes, budget status) to PATH",
     )
     parser.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="append JSONL instrumentation events to PATH",
-    )
-    parser.add_argument(
         "--chrome-trace",
         metavar="PATH",
         help="record every phase as a span and write Chrome "
@@ -154,10 +150,11 @@ def main(argv=None):
     try:
         aig_a = read_auto(args.file_a)
         aig_b = read_auto(args.file_b)
+        check_interface(aig_a, aig_b)
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID_INPUT
-    recorder = Recorder(trace_path=args.trace)
+    recorder = Recorder()
     recorder.meta.update({
         "tool": "repro-cec",
         "engine": args.engine,
@@ -180,7 +177,6 @@ def main(argv=None):
             recorder.write_json(args.stats_json, budget=budget)
         if args.chrome_trace:
             _write_chrome_trace(args.chrome_trace, recorder.trace_report())
-        recorder.close()
     return code
 
 
@@ -273,16 +269,9 @@ def _run_remote(args):
     if args.certify and result.equivalent is not None:
         # The served certificate must answer this pair: a cache hit
         # can hand back any document.
-        try:
-            certify(result, lint=args.lint, pair=(aig_a, aig_b))
-        except CertificationError as exc:
-            print("certificate INVALID: %s" % exc, file=sys.stderr)
-            return EXIT_INVALID_INPUT
-        if not args.quiet:
-            print("certified: %s" % (
-                "proof replayed successfully" if result.equivalent
-                else "counterexample separates the circuits"
-            ))
+        code = _certify(result, (aig_a, aig_b), args)
+        if code is not None:
+            return code
     if args.stats_json:
         import json
 
@@ -313,8 +302,6 @@ def _dispatch(aig_a, aig_b, args, recorder, budget):
     else:
         options = SweepOptions(sim_words=args.sim_words, seed=args.seed)
         if args.match_names:
-            from .aig.miter import match_interfaces_by_name
-
             try:
                 aig_b = match_interfaces_by_name(aig_a, aig_b)
             except ValueError as exc:
@@ -325,14 +312,30 @@ def _dispatch(aig_a, aig_b, args, recorder, budget):
         result = check_equivalence(
             aig_a, aig_b, options, recorder=recorder, budget=budget
         )
-    if args.certify and result.equivalent:
-        certify(result, lint=args.lint)
-        if not args.quiet:
-            print("certified: proof replayed successfully")
+    if args.certify and result.equivalent is not None:
+        code = _certify(result, (aig_a, aig_b), args)
+        if code is not None:
+            return code
     return _report(
         result.equivalent, result.counterexample, result.proof,
         result.cnf, args, recorder=recorder, budget=budget,
     )
+
+
+def _certify(result, pair, args):
+    """``--certify``: check *result*'s certificate against *pair*;
+    returns the exit code when it is rejected, else None."""
+    try:
+        certify(result, lint=args.lint, pair=pair)
+    except CertificationError as exc:
+        print("certificate INVALID: %s" % exc, file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    if not args.quiet:
+        print("certified: %s" % (
+            "proof replayed successfully" if result.equivalent
+            else "counterexample separates the circuits"
+        ))
+    return None
 
 
 def _preflight_lint(aig_a, aig_b, args, recorder):

@@ -1,12 +1,12 @@
 """Core: the proof-producing combinational equivalence checking engine."""
 
-from .cec import CecResult, check_equivalence
+from .cec import CecResult, check_equivalence, verdict_name
 from .certify import CertificationError, certify
 from .fraig import SweepEngine, SweepOptions, SweepStats
 from .outputs import OutputVerdict, OutputsReport, check_outputs
 from .reduce import ReduceResult, certified_reduce, fraig_reduce
 from .serialize import RESULT_SCHEMA, ResultFormatError, result_from_dict, \
-    result_to_dict, verdict_name
+    result_to_dict
 from .witness import MinimizedWitness, minimize_counterexample
 from .stitch import EquivLemma, StitchError, StructuralStitcher, derive_subset
 

@@ -77,6 +77,12 @@ class CecResult:
         return "CecResult(equivalent=None)"
 
 
+def verdict_name(equivalent):
+    """Stable string form of a three-valued verdict."""
+    return {True: "equivalent", False: "not_equivalent",
+            None: "undecided"}[equivalent]
+
+
 def check_equivalence(aig_a, aig_b, options=None, match_names=False,
                       recorder=None, budget=None):
     """Check combinational equivalence of two AIGs.
@@ -116,9 +122,7 @@ def check_equivalence(aig_a, aig_b, options=None, match_names=False,
     result.elapsed_seconds = time.perf_counter() - start
     if result.equivalent is False:
         _validate_counterexample(aig_a, aig_b, result.counterexample)
-    recorder.gauge("cec/verdict", {True: "equivalent",
-                                   False: "not_equivalent",
-                                   None: "unknown"}[result.equivalent])
+    recorder.gauge("cec/verdict", verdict_name(result.equivalent))
     if result.proof is not None:
         recorder.gauge("proof/clauses", len(result.proof))
         recorder.gauge("proof/axioms", result.proof.num_axioms)

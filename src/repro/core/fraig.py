@@ -594,7 +594,6 @@ class SweepEngine:
             if timing:
                 strash_s += clock() - t0
             if structural:
-                rec.event("merge", var=var, how="structural")
                 continue
             merged = False
             while True:
@@ -604,8 +603,6 @@ class SweepEngine:
                     if self._candidate_for(var) is not None:
                         stats.skipped_candidates += 1
                         stats.budget_exhausted = True
-                        rec.event("candidate_skipped", var=var,
-                                  reason=self.budget.exhausted_reason())
                     break
                 candidate = self._candidate_for(var)
                 if candidate is None:
@@ -626,20 +623,16 @@ class SweepEngine:
                     if root == 0:
                         stats.const_merges += 1
                     stats.sat_merges += 1
-                    rec.event("merge", var=var, how="sat", target=target)
                     merged = True
                     break
                 if outcome is None:
                     stats.skipped_candidates += 1
-                    rec.event("candidate_skipped", var=var,
-                              reason="max_conflicts")
                     break
                 # SAT model: refine classes and retry with the new table.
                 t0 = clock() if timing else 0.0
                 self._refine(outcome)
                 if timing:
                     sim_s += clock() - t0
-                rec.event("refine", var=var, patterns=self.sim.num_patterns)
             if not merged:
                 self._register_root(var)
                 f0, f1 = self.aig.fanins(var)

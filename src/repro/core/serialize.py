@@ -9,7 +9,9 @@ as an object :func:`~repro.core.certify.certify` accepts unchanged:
 * the **counterexample** input assignment on non-equivalence,
 * the **resolution proof** as embedded TraceCheck text,
 * the **miter netlist** as embedded ASCII AIGER, and
-* the run's ``repro-stats/1`` report.
+* the run's ``repro-stats/1`` report (``null`` in the service's
+  documents: a job's report travels beside its result, not in the
+  cached certificate).
 
 The axiom set the proof refutes is not stored: it is a function of
 the miter, Tseitin(miter) plus the miter-output unit
@@ -143,9 +145,3 @@ def result_from_dict(payload):
         elapsed_seconds=payload["elapsed_seconds"],
         stats=payload["stats"],
     )
-
-
-def verdict_name(equivalent):
-    """Stable string form of a three-valued verdict."""
-    return {True: "equivalent", False: "not_equivalent",
-            None: "undecided"}[equivalent]

@@ -54,8 +54,7 @@ affected shard's keys (see :mod:`repro.fleet.ring`).
 
 Threading model: everything runs on one event loop; the only other
 thread is the optional Prometheus ``/metrics`` endpoint, which reads
-nothing but the thread-safe :class:`~repro.instrument.Recorder` and
-:class:`~repro.instrument.MetricsRegistry`.
+nothing but the thread-safe :class:`~repro.instrument.Recorder`.
 """
 
 import asyncio
@@ -66,15 +65,17 @@ import time
 
 from .. import __version__
 from ..aig.aiger import AigerError, read_aag
-from ..instrument import MetricsRegistry, Recorder, get_logger
-from ..instrument.metrics import TIME_BUCKETS, to_prometheus_text
+from ..instrument import Recorder, get_logger
+from ..instrument.metrics import to_prometheus_text
 from ..instrument.tracing import (
     TraceContext,
+    make_span,
     merge_trace_documents,
     new_span_id,
 )
 from ..service import protocol
 from ..service.cache import cache_key, valid_key
+from ..service.jobs import TERMINAL_STATES
 from ..service.metrics_http import MetricsHTTPServer
 from ..service.worker import build_options, check_budget
 from .aioclient import AsyncServiceClient
@@ -95,9 +96,6 @@ JOB_SEPARATOR = "@"
 #: fill, kept for jobs whose result has not been fetched yet (bounds
 #: memory under clients that never collect).
 RETAIN_JOB_SPANS = 512
-
-#: Job states after which a result will never change again.
-_TERMINAL_STATES = frozenset({"done", "failed", "cancelled"})
 
 #: Verdicts a shard caches (an undecided one reflects its budget).
 _DECIDED_VERDICTS = frozenset({"equivalent", "not_equivalent"})
@@ -190,7 +188,6 @@ class FleetRouter:
         self.down_after = down_after
         self.shard_timeout = shard_timeout
         self.recorder = recorder if recorder is not None else Recorder()
-        self.metrics = MetricsRegistry()
         self._metrics_address = metrics_address
         self._metrics_http = None
         self._server = None
@@ -380,7 +377,7 @@ class FleetRouter:
             return False
         if verb == "metrics":
             await self._send(writer, protocol.ok_response(
-                "metrics", metrics=self.metrics.report(),
+                "metrics", metrics=self.recorder.metrics_report(),
                 prometheus=self.prometheus_text(),
             ))
             return False
@@ -555,10 +552,7 @@ class FleetRouter:
                 "every shard in preference order failed", verb="submit",
             )
         elapsed = loop.time() - started
-        self.metrics.observe(
-            "fleet/route-seconds", elapsed,
-            buckets=TIME_BUCKETS, unit="seconds",
-        )
+        self.recorder.observe("fleet/route-seconds", elapsed)
         self.recorder.add_time("fleet/route", elapsed)
         if response.get("ok"):
             self.recorder.count("fleet/jobs-routed")
@@ -576,9 +570,11 @@ class FleetRouter:
                 _retain(self._offloads, routed, (key, offloaded_from))
                 attrs["offloaded_from"] = offloaded_from.address
             if context is not None:
-                spans.append(self._span(
-                    context.trace_id, "fleet/route", route_span_id,
-                    context.parent_id, started, elapsed,
+                # Span timestamps are epoch seconds, not loop time.
+                spans.append(make_span(
+                    context.trace_id, route_span_id, context.parent_id,
+                    "fleet/route", time.time() - elapsed, elapsed,
+                    process="repro-router", thread="event-loop",
                     job=routed, shard=shard.address, **attrs
                 ))
                 self._stash_spans(routed, spans)
@@ -635,17 +631,15 @@ class FleetRouter:
             elapsed = loop.time() - started
             self.recorder.count("fleet/cache-transfers")
             self.recorder.add_time("fleet/cache-transfer", elapsed)
-            self.metrics.observe(
-                "fleet/transfer-seconds", elapsed,
-                buckets=TIME_BUCKETS, unit="seconds",
-            )
+            self.recorder.observe("fleet/transfer-seconds", elapsed)
             log.info(
                 "transferred cache entry %s from %s to %s",
                 key[:12], peer.address, home.address,
             )
-            return self._span(
-                None, "fleet/cache-transfer", new_span_id(), None,
-                started, elapsed, shard=home.address, source=peer.address,
+            return make_span(
+                None, new_span_id(), None, "fleet/cache-transfer",
+                time.time() - elapsed, elapsed, process="repro-router",
+                thread="event-loop", shard=home.address, source=peer.address,
             ), None
         return None, (None if held else idle_peer)
 
@@ -778,7 +772,7 @@ class FleetRouter:
         offload = None
         if verb == "result":
             self._stitch_result_trace(routed, response)
-            if response.get("state") in _TERMINAL_STATES:
+            if response.get("state") in TERMINAL_STATES:
                 offload = self._offloads.pop(routed, None)
         await self._send(writer, response)
         if (offload is not None
@@ -789,22 +783,6 @@ class FleetRouter:
     # ------------------------------------------------------------------
     # Trace stitching
     # ------------------------------------------------------------------
-
-    @staticmethod
-    def _span(trace_id, name, span_id, parent_id, ts, dur, **attrs):
-        span = {
-            "trace_id": trace_id,
-            "span_id": span_id,
-            "parent_id": parent_id,
-            "name": name,
-            "ts": ts,
-            "dur": dur,
-            "pid": os.getpid(),
-            "process": "repro-router",
-            "thread": "event-loop",
-        }
-        span.update(attrs)
-        return span
 
     def _stash_spans(self, routed_id, spans):
         if spans:
@@ -829,7 +807,7 @@ class FleetRouter:
             response["trace"] = merge_trace_documents(
                 trace, {"spans": spans},
             )
-        if stale or response.get("state") in _TERMINAL_STATES:
+        if stale or response.get("state") in TERMINAL_STATES:
             self._job_spans.pop(routed_id, None)
 
     # ------------------------------------------------------------------
@@ -991,7 +969,7 @@ class FleetRouter:
         """The ``/metrics`` exposition: histograms plus stats counters
         and gauges (thread-safe; called from the scrape thread)."""
         return to_prometheus_text(
-            self.metrics.report(), self.stats_report(),
+            self.recorder.metrics_report(), self.stats_report(),
             build_info={
                 "component": "repro-router", "version": __version__,
             },

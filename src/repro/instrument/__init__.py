@@ -5,10 +5,10 @@ package (solver, sweep engine, proof store, trimmer, checker, CLIs,
 benchmark harness):
 
 * :class:`~repro.instrument.recorder.Recorder` — hierarchical phase
-  timers, monotonic counters, gauges, and an optional JSONL event
-  trace, all serialized by :meth:`~repro.instrument.recorder.Recorder.report`
-  to one stable JSON schema (``repro-stats/1``, see
-  ``docs/instrumentation.md``).
+  timers, monotonic counters, gauges, spans and histograms; phases,
+  counters and gauges serialize by
+  :meth:`~repro.instrument.recorder.Recorder.report` to one stable
+  JSON schema (``repro-stats/1``, see ``docs/instrumentation.md``).
 * :class:`~repro.instrument.budget.Budget` — cooperative wall-time /
   conflict / proof-clause limits. Components consult the budget at
   natural checkpoints and degrade to ``UNKNOWN`` verdicts instead of
@@ -25,7 +25,6 @@ from .logs import JsonLogFormatter, configure_logging, get_logger
 from .metrics import (
     METRICS_SCHEMA,
     Histogram,
-    MetricsRegistry,
     to_prometheus_text,
     validate_metrics_report,
 )
@@ -36,9 +35,8 @@ from .progress import (
     ProgressTracker,
     estimate_eta_band,
     format_heartbeat,
-    jsonl_sink,
     latest_heartbeat,
-    read_heartbeats,
+    snapshot_sink,
     validate_progress,
 )
 from .recorder import NULL_RECORDER, Recorder, STATS_SCHEMA
@@ -56,7 +54,6 @@ __all__ = [
     "Histogram",
     "JsonLogFormatter",
     "METRICS_SCHEMA",
-    "MetricsRegistry",
     "NULL_RECORDER",
     "PHASE_REGISTRY",
     "PROGRESS_SCHEMA",
@@ -70,10 +67,9 @@ __all__ = [
     "format_heartbeat",
     "get_logger",
     "is_registered",
-    "jsonl_sink",
     "latest_heartbeat",
     "maybe_profile",
-    "read_heartbeats",
+    "snapshot_sink",
     "to_chrome_trace",
     "to_collapsed_stacks",
     "to_prometheus_text",

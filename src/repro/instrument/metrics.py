@@ -1,20 +1,22 @@
-"""Fixed-bucket histograms and a mergeable metrics registry.
+"""Fixed-bucket histograms and their Prometheus rendering.
 
-The :class:`Recorder` answers "how long did phase X take *this run*";
-the :class:`MetricsRegistry` answers the distributional questions a
-long-lived service gets asked — p50/p99 job latency, queue-wait spread,
-how heavy the solver workload per job is. Histograms use **fixed
-buckets** (Prometheus-style cumulative-on-export counters) so that:
+A recorder's phases answer "how long did phase X take *this run*"; its
+histograms (:meth:`~repro.instrument.recorder.Recorder.observe`)
+answer the distributional questions a long-lived service gets asked —
+p50/p99 job latency, queue-wait spread, how heavy the solver workload
+per job is. Histograms use **fixed buckets** (Prometheus-style
+cumulative-on-export counters) so that:
 
 * observation is O(log buckets) with no per-sample storage — safe for a
   server that lives for weeks;
 * two histograms with the same bucket bounds **merge by addition**,
-  which is how per-worker-process observations fold into the server's
-  registry (:meth:`MetricsRegistry.merge_report`);
+  which is how a Prometheus server aggregates the scrapes of several
+  processes, so quantiles survive aggregation;
 * quantiles are estimated the same way ``histogram_quantile`` does it:
   linear interpolation inside the bucket holding the target rank.
 
-Everything serializes to the ``repro-metrics/1`` schema::
+:meth:`~repro.instrument.recorder.Recorder.metrics_report` serializes
+them to the ``repro-metrics/1`` schema::
 
     {
       "schema": "repro-metrics/1",
@@ -38,10 +40,14 @@ Prometheus text exposition format served by ``repro-serve``'s
 from __future__ import annotations
 
 import bisect
-import threading
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from ..analyze.schemas import METRICS_SCHEMA as METRICS_SCHEMA  # registry
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .recorder import Recorder
 
 #: Default bounds for latency-shaped observations (seconds).
 TIME_BUCKETS: Tuple[float, ...] = (
@@ -64,7 +70,8 @@ REPORT_QUANTILES: Tuple[Tuple[str, float], ...] = (
 
 class Histogram:
     """One fixed-bucket histogram (not thread-safe on its own; the
-    registry serializes access).
+    owning :class:`~repro.instrument.recorder.Recorder` serializes
+    access).
 
     Args:
         name: metric name (``/``-separated like phase names).
@@ -98,23 +105,6 @@ class Histogram:
         self.counts[bisect.bisect_left(self.buckets, float(value))] += 1
         self.count += 1
         self.sum += float(value)
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold *other*'s observations into this histogram.
-
-        Raises:
-            ValueError: when the bucket bounds differ — silently
-                re-bucketing would fabricate data.
-        """
-        if other.buckets != self.buckets:
-            raise ValueError(
-                "cannot merge histogram %r: bucket bounds differ"
-                % self.name
-            )
-        for index, count in enumerate(other.counts):
-            self.counts[index] += count
-        self.count += other.count
-        self.sum += other.sum
 
     def quantile(self, q: float) -> float:
         """Estimated value at quantile *q* (0..1).
@@ -151,102 +141,6 @@ class Histogram:
         for label, q in REPORT_QUANTILES:
             block[label] = self.quantile(q)
         return block
-
-
-class MetricsRegistry:
-    """Thread-safe, mergeable collection of named histograms.
-
-    A process observes into its own registry; registries from other
-    processes arrive as ``repro-metrics/1`` documents and fold in via
-    :meth:`merge_report` — this is how ``repro-serve`` aggregates its
-    worker pool into one exposition.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._histograms: Dict[str, Histogram] = {}
-
-    def histogram(
-        self,
-        name: str,
-        buckets: Optional[Sequence[float]] = None,
-        unit: str = "",
-    ) -> Histogram:
-        """Get or create the histogram *name*.
-
-        The first caller fixes the bounds (default
-        :data:`TIME_BUCKETS`); later callers get the existing
-        instrument regardless of arguments.
-        """
-        with self._lock:
-            hist = self._histograms.get(name)
-            if hist is None:
-                hist = Histogram(
-                    name, buckets if buckets is not None else TIME_BUCKETS,
-                    unit=unit,
-                )
-                self._histograms[name] = hist
-            return hist
-
-    def observe(
-        self,
-        name: str,
-        value: float,
-        buckets: Optional[Sequence[float]] = None,
-        unit: str = "",
-    ) -> None:
-        """Record one observation into histogram *name* (auto-created)."""
-        hist = self.histogram(name, buckets=buckets, unit=unit)
-        with self._lock:
-            hist.observe(value)
-
-    def report(self) -> Dict[str, Any]:
-        """Serialize to a ``repro-metrics/1`` document."""
-        with self._lock:
-            return {
-                "schema": METRICS_SCHEMA,
-                "histograms": {
-                    name: hist.as_dict()
-                    for name, hist in sorted(self._histograms.items())
-                },
-            }
-
-    def merge_report(self, document: Any) -> None:
-        """Fold a ``repro-metrics/1`` document into this registry.
-
-        Unknown histograms are adopted with the document's bounds;
-        known ones must have matching bounds (``ValueError`` otherwise,
-        see :meth:`Histogram.merge`).
-        """
-        validate_metrics_report(document)
-        for name, block in document["histograms"].items():
-            incoming = Histogram(
-                name, block["buckets"], unit=str(block.get("unit", "")),
-            )
-            incoming.counts = [int(c) for c in block["counts"]]
-            incoming.count = int(block["count"])
-            incoming.sum = float(block["sum"])
-            with self._lock:
-                existing = self._histograms.get(name)
-                if existing is None:
-                    self._histograms[name] = incoming
-                else:
-                    existing.merge(incoming)
-
-    def quantile_gauges(self) -> Dict[str, float]:
-        """``{"<name>/p50": value, ...}`` for every histogram.
-
-        The server copies these into its ``repro-stats/1`` gauges so
-        the plain ``stats`` report carries the latency percentiles.
-        """
-        gauges: Dict[str, float] = {}
-        with self._lock:
-            for name, hist in self._histograms.items():
-                if not hist.count:
-                    continue
-                for label, q in REPORT_QUANTILES:
-                    gauges["%s/%s" % (name, label)] = hist.quantile(q)
-        return gauges
 
 
 def validate_metrics_report(document: Any) -> Dict[str, Any]:
@@ -382,25 +276,29 @@ def to_prometheus_text(
 
 
 def observe_stats_workload(
-    registry: MetricsRegistry, stats_report: Dict[str, Any],
+    recorder: "Recorder", stats_report: Dict[str, Any],
 ) -> None:
-    """Fold one run's workload counters into distribution histograms.
+    """Fold one job's worker report into distribution histograms.
 
     One completed job's ``repro-stats/1`` report contributes a single
-    observation per workload metric — solver conflicts and proof
-    clauses — so the histograms answer "how heavy is a typical job",
-    not "how many conflicts total" (the counters already do that).
+    observation per metric — its ``service/check`` time, solver
+    conflicts and proof clauses — so the histograms answer "how heavy
+    is a typical job", not "how many conflicts total" (the counters
+    already do that). Metrics the report lacks are not observed.
     """
+    check = stats_report.get("phases", {}).get("service/check")
+    if check is not None:
+        recorder.observe("service/check-seconds", float(check["seconds"]))
     counters = stats_report.get("counters", {})
     if "solver/conflicts" in counters:
-        registry.observe(
+        recorder.observe(
             "solver/conflicts", float(counters["solver/conflicts"]),
             buckets=COUNT_BUCKETS, unit="conflicts",
         )
     gauges = stats_report.get("gauges", {})
     clauses: Any = gauges.get("proof/clauses", counters.get("proof/clauses"))
     if isinstance(clauses, (int, float)) and not isinstance(clauses, bool):
-        registry.observe(
+        recorder.observe(
             "proof/clauses", float(clauses),
             buckets=COUNT_BUCKETS, unit="clauses",
         )

@@ -40,7 +40,6 @@ al. (arXiv 2210.01484), is not implemented.
 
 from __future__ import annotations
 
-import io
 import json
 import os
 import time
@@ -58,7 +57,7 @@ from ..analyze.schemas import PROGRESS_SCHEMA as PROGRESS_SCHEMA  # registry
 from .budget import Budget
 
 #: Default seconds between heartbeats. Coarse enough that even a
-#: file-appending sink is noise, fine enough for a live dashboard.
+#: file-writing sink is noise, fine enough for a live dashboard.
 DEFAULT_INTERVAL = 0.25
 
 #: Hot-loop ticks between clock reads. The solver ticks once per
@@ -302,59 +301,35 @@ def validate_progress(document: Dict[str, Any]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# JSONL spool sinks — how heartbeats cross the worker-process boundary
+# Spool files — how heartbeats cross the worker-process boundary
 # ---------------------------------------------------------------------------
 
 
-def jsonl_sink(path: str) -> ProgressSink:
-    """Sink appending one compact JSON line per heartbeat to *path*.
+def snapshot_sink(path: str) -> ProgressSink:
+    """Sink keeping exactly the newest heartbeat in the file *path*.
 
-    Opens and closes the file per heartbeat so the document is visible
-    to a concurrently tailing reader immediately; at the default
-    interval that costs microseconds every quarter second.
+    Each heartbeat is written to a temporary file beside *path* and
+    renamed over it, so a concurrent reader sees the previous document
+    or the new one, never a partial write.
     """
+    temp_path = path + ".tmp"
 
     def emit(document: Dict[str, Any]) -> None:
-        line = json.dumps(document, separators=(",", ":"))
-        with open(path, "a") as handle:
-            handle.write(line + "\n")
-            handle.flush()
+        with open(temp_path, "w") as handle:
+            json.dump(document, handle, separators=(",", ":"))
+        os.replace(temp_path, path)
 
     return emit
 
 
-def read_heartbeats(path: str, limit: int = 0) -> List[Dict[str, Any]]:
-    """Heartbeat documents from a JSONL spool file, oldest first.
-
-    Tolerates a missing file and a torn final line (the writer may be
-    mid-append); with *limit* > 0 only the newest *limit* documents are
-    returned.
-    """
-    try:
-        with io.open(path, "r") as handle:
-            lines = handle.readlines()
-    except OSError:
-        return []
-    documents: List[Dict[str, Any]] = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            loaded = json.loads(line)
-        except ValueError:
-            continue  # torn tail line
-        if isinstance(loaded, dict):
-            documents.append(loaded)
-    if limit > 0:
-        documents = documents[-limit:]
-    return documents
-
-
 def latest_heartbeat(path: str) -> Optional[Dict[str, Any]]:
-    """The newest heartbeat in a spool file, or ``None``."""
-    documents = read_heartbeats(path, limit=1)
-    return documents[0] if documents else None
+    """The heartbeat in a spool file, or ``None`` before the first."""
+    try:
+        with open(path) as handle:
+            document = json.load(handle)
+    except OSError:
+        return None
+    return document if isinstance(document, dict) else None
 
 
 def remove_spool(path: str) -> None:

@@ -1,7 +1,7 @@
-"""Phase timers, counters, gauges, and an optional JSONL event trace.
+"""Phase timers, counters, gauges, spans and histograms.
 
-The :class:`Recorder` is the package's single instrumentation sink.
-Components record into three namespaces:
+The :class:`Recorder` is the package's single in-process store of what
+happened. Components record into five namespaces:
 
 * **phases** — wall-clock accumulators with call counts. Names are
   hierarchical with ``/`` separators; the :meth:`Recorder.phase`
@@ -13,16 +13,18 @@ Components record into three namespaces:
   (:meth:`Recorder.count`).
 * **gauges** — last-write-wins values (:meth:`Recorder.gauge`), for
   end-of-run sizes such as the final proof length.
+* **spans** — once :meth:`Recorder.start_trace` is called, every phase
+  is also recorded as a span of a ``repro-trace/1`` document
+  (:meth:`Recorder.trace_report`).
+* **histograms** — fixed-bucket distributions
+  (:meth:`Recorder.observe`), served as the ``repro-metrics/1``
+  document (:meth:`Recorder.metrics_report`) and as p50/p90/p99 gauges
+  (:meth:`Recorder.quantile_gauges`).
 
-When constructed with ``trace_path``, every :meth:`Recorder.event` call
-appends one JSON object per line (fields ``t`` — seconds since the
-recorder was created — and ``event``, plus caller keywords) so long runs
-can be profiled post-hoc without holding events in memory.
-
-:meth:`Recorder.report` serializes everything to the stable
-``repro-stats/1`` schema documented in ``docs/instrumentation.md``; the
-benchmark harness and the ``--stats-json`` CLI flags all emit exactly
-this shape.
+:meth:`Recorder.report` serializes phases, counters and gauges to the
+stable ``repro-stats/1`` schema documented in
+``docs/instrumentation.md``; the benchmark harness and the
+``--stats-json`` CLI flags all emit exactly this shape.
 
 Literal phase names must belong to the registry in
 :mod:`repro.instrument.phases`; the ``code.phase-registry`` lint rule
@@ -32,12 +34,10 @@ enforces this across ``src/repro``.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 from contextlib import contextmanager
 from typing import (
-    IO,
     TYPE_CHECKING,
     Any,
     Callable,
@@ -45,15 +45,20 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
+    Tuple,
 )
 
+from .metrics import REPORT_QUANTILES, TIME_BUCKETS, Histogram
 from .tracing import (
     Span,
     TraceContext,
+    make_span,
     make_trace_document,
     new_span_id,
 )
 
+from ..analyze.schemas import METRICS_SCHEMA
 from ..analyze.schemas import STATS_SCHEMA as STATS_SCHEMA  # registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -61,19 +66,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class Recorder:
-    """Instrumentation sink: phase timers + counters + gauges + trace.
+    """Instrumentation sink: phases, counters, gauges, spans, histograms.
 
     A recorder is safe to share across threads (the service worker pool
-    and server handler threads record into one instance): counter,
-    gauge, phase-time, and trace mutation is serialized by an internal
-    lock, and the active-phase stack that :meth:`phase` uses for
-    hierarchical naming is thread-local, so concurrent phases in
-    different threads never corrupt each other's names.
+    and server handler threads record into one instance): every
+    mutation is serialized by an internal lock, and the active-phase
+    stack that :meth:`phase` uses for hierarchical naming and span
+    parenting is thread-local, so concurrent phases in different
+    threads never corrupt each other's names.
 
     Args:
-        trace_path: optional path receiving one JSON object per
-            :meth:`event` call (JSONL). The file is opened lazily on the
-            first event and closed by :meth:`close`.
         clock: monotonic time source (overridable for tests).
     """
 
@@ -81,7 +83,6 @@ class Recorder:
 
     def __init__(
         self,
-        trace_path: Optional[str] = None,
         clock: Callable[[], float] = time.perf_counter,
     ) -> None:
         self._clock = clock
@@ -89,10 +90,9 @@ class Recorder:
         self._phases: Dict[str, List[float]] = {}  # name -> [seconds, count]
         self._counters: Dict[str, int] = {}
         self._gauges: Dict[str, Any] = {}
+        self._histograms: Dict[str, Histogram] = {}
         self._local = threading.local()  # per-thread active phase stack
         self._lock = threading.RLock()
-        self._trace_path = trace_path
-        self._trace_file: Optional[IO[str]] = None
         self.meta: Dict[str, Any] = {}
         # Distributed-tracing state; inert until start_trace() is
         # called, so untraced recorders pay nothing beyond one None
@@ -106,29 +106,19 @@ class Recorder:
         self.progress: Optional["ProgressTracker"] = None
 
     @property
-    def _stack(self) -> List[str]:
-        stack: Optional[List[str]] = getattr(self._local, "stack", None)
+    def _stack(self) -> List[Tuple[str, Optional[str]]]:
+        """This thread's open phases: ``(full name, span id or None)``."""
+        stack: Optional[List[Tuple[str, Optional[str]]]] = getattr(
+            self._local, "stack", None
+        )
         if stack is None:
             stack = []
             self._local.stack = stack
         return stack
 
-    @property
-    def _span_stack(self) -> List[str]:
-        stack: Optional[List[str]] = getattr(self._local, "spans", None)
-        if stack is None:
-            stack = []
-            self._local.spans = stack
-        return stack
-
     # ------------------------------------------------------------------
     # Phases
     # ------------------------------------------------------------------
-
-    def _qualify(self, name: str) -> str:
-        if self._stack:
-            return self._stack[-1] + "/" + name
-        return name
 
     @contextmanager
     def phase(self, name: str) -> Iterator["Recorder"]:
@@ -139,26 +129,27 @@ class Recorder:
         its parent is the enclosing phase's span in this thread, or the
         propagated remote parent at the top of the stack.
         """
-        full = self._qualify(name)
-        self._stack.append(full)
+        stack = self._stack
+        outer = stack[-1] if stack else None
+        full = outer[0] + "/" + name if outer else name
         ctx = self._trace_ctx
-        span_id = ""
+        span_id: Optional[str] = None
         parent_id: Optional[str] = None
         wall_start = 0.0
         if ctx is not None:
             span_id = new_span_id()
-            span_stack = self._span_stack
-            parent_id = span_stack[-1] if span_stack else ctx.parent_id
-            span_stack.append(span_id)
+            # An untraced outer phase was entered before start_trace(),
+            # and so was every phase below it.
+            parent_id = outer[1] if outer and outer[1] else ctx.parent_id
             wall_start = self._wall()
+        stack.append((full, span_id))
         start = self._clock()
         try:
             yield self
         finally:
             elapsed = self._clock() - start
-            self._stack.pop()
-            if ctx is not None:
-                self._span_stack.pop()
+            stack.pop()
+            if span_id is not None:
                 self._append_span(
                     full, wall_start, elapsed, span_id, parent_id
                 )
@@ -229,19 +220,11 @@ class Recorder:
         ctx = self._trace_ctx
         if ctx is None:
             return
-        span: Span = {
-            "trace_id": ctx.trace_id,
-            "span_id": span_id,
-            "parent_id": parent_id,
-            "name": name,
-            "ts": wall_start,
-            "dur": duration,
-            "pid": os.getpid(),
-            "process": str(self.meta.get("tool", "")) or "repro",
-            "thread": threading.current_thread().name,
-        }
-        if attrs:
-            span.update(attrs)
+        span = make_span(
+            ctx.trace_id, span_id, parent_id, name, wall_start, duration,
+            process=str(self.meta.get("tool", "")) or "repro",
+            thread=threading.current_thread().name, **attrs
+        )
         with self._lock:
             self._spans.append(span)
 
@@ -304,29 +287,46 @@ class Recorder:
             self._gauges[name] = value
 
     # ------------------------------------------------------------------
-    # Event trace
+    # Histograms
     # ------------------------------------------------------------------
 
-    def event(self, kind: str, **fields: Any) -> None:
-        """Append one trace event (no-op unless ``trace_path`` was given)."""
-        if self._trace_path is None:
-            return
-        record: Dict[str, Any] = {
-            "t": round(self._clock() - self._start, 6), "event": kind,
-        }
-        record.update(fields)
-        line = json.dumps(record, sort_keys=True) + "\n"
-        with self._lock:
-            if self._trace_file is None:
-                self._trace_file = open(self._trace_path, "w")
-            self._trace_file.write(line)
+    def observe(
+        self, name: str, value: float,
+        buckets: Sequence[float] = TIME_BUCKETS, unit: str = "seconds",
+    ) -> None:
+        """Record one observation into histogram *name*.
 
-    def close(self) -> None:
-        """Flush and close the trace file (idempotent)."""
+        The first observation fixes the histogram's bounds (by default
+        :data:`~repro.instrument.metrics.TIME_BUCKETS`, for latencies)
+        and unit; later calls keep them whatever they pass.
+        """
         with self._lock:
-            if self._trace_file is not None:
-                self._trace_file.close()
-                self._trace_file = None
+            hist = self._histograms.get(name)
+            if hist is None:
+                hist = Histogram(name, buckets, unit=unit)
+                self._histograms[name] = hist
+            hist.observe(value)
+
+    def metrics_report(self) -> Dict[str, Any]:
+        """The ``repro-metrics/1`` document of every histogram."""
+        with self._lock:
+            return {
+                "schema": METRICS_SCHEMA,
+                "histograms": {
+                    name: hist.as_dict()
+                    for name, hist in sorted(self._histograms.items())
+                },
+            }
+
+    def quantile_gauges(self) -> Dict[str, float]:
+        """``{"<name>/p50": value, ...}`` for every histogram holding
+        an observation (p50, p90 and p99)."""
+        with self._lock:
+            return {
+                "%s/%s" % (name, label): hist.quantile(q)
+                for name, hist in self._histograms.items() if hist.count
+                for label, q in REPORT_QUANTILES
+            }
 
     # ------------------------------------------------------------------
     # Reporting
@@ -430,7 +430,10 @@ class _NullRecorder(Recorder):
     def gauge(self, name: str, value: Any) -> None:
         pass
 
-    def event(self, kind: str, **fields: Any) -> None:
+    def observe(
+        self, name: str, value: float,
+        buckets: Sequence[float] = TIME_BUCKETS, unit: str = "seconds",
+    ) -> None:
         pass
 
     def start_trace(

@@ -39,6 +39,7 @@ speedscope) and collapsed flamegraph stacks
 
 from __future__ import annotations
 
+import os
 import re
 import uuid
 from typing import Any, Dict, List, Mapping, Optional, Tuple
@@ -118,6 +119,28 @@ class TraceContext:
         return "TraceContext(trace_id=%r, parent_id=%r)" % (
             self.trace_id, self.parent_id,
         )
+
+
+def make_span(
+    trace_id: Optional[str], span_id: str, parent_id: Optional[str],
+    name: str, ts: float, dur: float, process: str, thread: str,
+    **attrs: Any,
+) -> Span:
+    """One span of this process (see the module docstring); *attrs*
+    become extra keys of the span."""
+    span: Span = {
+        "trace_id": trace_id,
+        "span_id": span_id,
+        "parent_id": parent_id,
+        "name": name,
+        "ts": ts,
+        "dur": dur,
+        "pid": os.getpid(),
+        "process": process,
+        "thread": thread,
+    }
+    span.update(attrs)
+    return span
 
 
 def make_trace_document(trace_id: str, spans: List[Span]) -> Dict[str, Any]:

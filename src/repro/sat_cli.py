@@ -74,10 +74,6 @@ def build_parser():
         help="write the run's repro-stats/1 JSON report to PATH",
     )
     parser.add_argument(
-        "--trace-events", metavar="PATH",
-        help="append JSONL instrumentation events to PATH",
-    )
-    parser.add_argument(
         "--profile", metavar="PATH",
         help="profile the run with cProfile and dump pstats data to PATH",
     )
@@ -95,7 +91,7 @@ def main(argv=None):
     except (OSError, UnicodeDecodeError, DimacsError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID_INPUT
-    recorder = Recorder(trace_path=args.trace_events)
+    recorder = Recorder()
     recorder.meta.update({"tool": "repro-sat", "cnf": args.cnf})
     budget = None
     if args.time_limit is not None:
@@ -113,7 +109,6 @@ def main(argv=None):
     finally:
         if args.stats_json:
             recorder.write_json(args.stats_json, budget=budget)
-        recorder.close()
     return code
 
 

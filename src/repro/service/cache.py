@@ -37,6 +37,7 @@ import re
 import tempfile
 
 from ..aig.structhash import pair_key
+from ..core.cec import verdict_name
 from ..analyze.schemas import CACHE_META_SCHEMA, RESULT_SCHEMA
 
 #: SweepOptions fields that select the engine configuration and hence
@@ -201,9 +202,7 @@ class ProofCache:
         meta_doc.update(
             schema=CACHE_META_SCHEMA,
             key=key,
-            verdict={True: "equivalent", False: "not_equivalent"}[
-                result_doc["equivalent"]
-            ],
+            verdict=verdict_name(result_doc["equivalent"]),
         )
         self._atomic_write(self.meta_path(key), meta_doc)
         self._atomic_write(result_path, result_doc)

@@ -35,6 +35,7 @@ from ..exit_codes import (
 from ..instrument import Recorder, to_chrome_trace
 from ..instrument.progress import format_heartbeat
 from .client import ServiceClient, ServiceError
+from .jobs import TERMINAL_STATES
 
 
 def build_parser():
@@ -204,7 +205,7 @@ def _follow_status(client, job_id, interval):
         if isinstance(progress, dict) and progress.get("seq") != last_seq:
             last_seq = progress.get("seq")
             print(format_heartbeat(progress), file=sys.stderr)
-        if response.get("state") in ("done", "failed", "cancelled"):
+        if response.get("state") in TERMINAL_STATES:
             print(json.dumps(
                 {key: response.get(key) for key in (
                     "job", "state", "cached", "verdict", "error",
@@ -330,6 +331,9 @@ def _run_cache(client, args):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    if args.command == "status" and args.follow and not args.interval > 0:
+        print("repro-client: --interval must be > 0", file=sys.stderr)
+        return EXIT_INVALID_INPUT
     try:
         client = ServiceClient(
             args.server, timeout=args.timeout, retries=args.retries,

@@ -55,9 +55,10 @@ class Job:
         trace: the stitched ``repro-trace/1`` document once terminal
             (server-side spans plus the worker's), or None when the
             server records no spans for the job.
-        progress_path: heartbeat spool file the worker appends
-            ``repro-progress/1`` documents to while the job runs
-            (None when progress is disabled or the job was cached).
+        progress_path: heartbeat spool file holding the newest
+            ``repro-progress/1`` document the worker wrote while the
+            job runs (None when progress is disabled or the job was
+            cached).
         progress: the job's last observed heartbeat document; kept
             after the spool file is harvested at completion so late
             ``progress`` queries still see the final sample.

@@ -30,8 +30,10 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 from .. import __version__
 from ..aig.aiger import AigerError, read_aag
-from ..instrument import MetricsRegistry, Recorder, TraceContext, get_logger
-from ..instrument.metrics import TIME_BUCKETS, to_prometheus_text
+from ..aig.miter import check_interface
+from ..core.cec import verdict_name
+from ..instrument import Recorder, TraceContext, get_logger
+from ..instrument.metrics import observe_stats_workload, to_prometheus_text
 from ..instrument.progress import (
     DEFAULT_INTERVAL as DEFAULT_PROGRESS_INTERVAL,
     latest_heartbeat,
@@ -174,10 +176,10 @@ class CecServer:
             DEFAULT_PROGRESS_INTERVAL
             if progress_interval is None else float(progress_interval)
         )
-        # Heartbeat spool: one JSONL file per running job, written by
-        # the worker process and tailed by the `progress` verb. A
-        # private tempdir (removed in close()) keeps the server free of
-        # any cross-job file naming discipline.
+        # Heartbeat spool: one file per running job, holding the
+        # newest heartbeat the worker process wrote, read by the
+        # `progress` verb. A private tempdir (removed in close()) keeps
+        # the server free of any cross-job file naming discipline.
         self._progress_dir = (
             tempfile.mkdtemp(prefix="repro-progress-")
             if self.progress_interval > 0 else None
@@ -187,9 +189,6 @@ class CecServer:
         self._serving = False
         self._lock = threading.Lock()
         self.recorder.gauge("service/workers", max(workers, 1))
-        # Cross-process metrics: the server's own registry plus every
-        # worker report folded in as jobs finish.
-        self.metrics = MetricsRegistry()
         self._executor = None
         self._server = None
         self._metrics_http = None
@@ -358,7 +357,7 @@ class CecServer:
         if verb == "metrics":
             self._refresh_runtime_gauges()
             send(protocol.ok_response(
-                "metrics", metrics=self.metrics.report(),
+                "metrics", metrics=self.recorder.metrics_report(),
                 prometheus=self.prometheus_text(),
             ))
             return False
@@ -404,29 +403,19 @@ class CecServer:
             aig_b = read_aag(io.StringIO(request["aag_b"]))
             options = build_options(request.get("options"))
             check_budget(request)
+            check_interface(aig_a, aig_b)
         except (AigerError, ValueError, KeyError, TypeError) as exc:
             self.recorder.count("service/jobs-rejected")
             return protocol.error_response(
                 protocol.ERR_BAD_INPUT, str(exc), verb="submit",
             )
-        if (aig_a.num_inputs != aig_b.num_inputs
-                or aig_a.num_outputs != aig_b.num_outputs):
-            self.recorder.count("service/jobs-rejected")
-            return protocol.error_response(
-                protocol.ERR_BAD_INPUT,
-                "interface mismatch: %dx%d vs %dx%d inputs/outputs"
-                % (aig_a.num_inputs, aig_a.num_outputs,
-                   aig_b.num_inputs, aig_b.num_outputs),
-                verb="submit",
-            )
         key = cache_key(aig_a, aig_b, request.get("options"))
         if self.cache is not None:
             with job_recorder.phase("cache/lookup"):
                 cached = self.cache.lookup(key)
-            self.metrics.observe(
+            self.recorder.observe(
                 "cache/lookup-seconds",
                 job_recorder.phase_seconds("cache/lookup"),
-                buckets=TIME_BUCKETS, unit="seconds",
             )
             if cached is not None:
                 self.recorder.count("service/cache-hits")
@@ -438,13 +427,11 @@ class CecServer:
                 # sets the terminal event a blocked `result --wait`
                 # handler wakes on, and that response must already see
                 # job.trace / job.job_stats.
+                verdict = verdict_name(cached["equivalent"])
                 self._assemble_job_telemetry(
-                    job, verdict=_verdict_of(cached), cached=True,
+                    job, verdict=verdict, cached=True,
                 )
-                job.finish(
-                    _verdict_of(cached), cached, worker_stats=None,
-                    cached=True,
-                )
+                job.finish(verdict, cached, worker_stats=None, cached=True)
                 self._note_job_done(job)
                 self.jobs.note_terminal(job)
                 return protocol.ok_response(
@@ -471,7 +458,7 @@ class CecServer:
         job.job_stats = job_recorder.report()
         if self._progress_dir is not None:
             job.progress_path = os.path.join(
-                self._progress_dir, "%s.jsonl" % job.id
+                self._progress_dir, "%s.json" % job.id
             )
         payload = {
             "aag_a": request["aag_a"],
@@ -562,21 +549,16 @@ class CecServer:
                      error.get("message", "worker reported failure"))
             self.recorder.count("service/jobs-failed")
             return
-        # Fold the worker's telemetry into the server-wide aggregates:
-        # phase timings and counters into the stats report, histogram
-        # observations into the cross-process metrics registry.
+        # Fold the worker's report into the server-wide aggregates: its
+        # phase timings and counters into the stats report, its check
+        # time and workload into the histograms.
         worker_stats = response.get("stats")
         if isinstance(worker_stats, dict):
             try:
                 self.recorder.merge_report(worker_stats)
+                observe_stats_workload(self.recorder, worker_stats)
             except (KeyError, TypeError, ValueError):
                 self.recorder.count("service/stats-merge-failures")
-        worker_metrics = response.get("metrics")
-        if isinstance(worker_metrics, dict):
-            try:
-                self.metrics.merge_report(worker_metrics)
-            except (KeyError, TypeError, ValueError):
-                self.recorder.count("service/metrics-merge-failures")
         # Store before marking the job terminal: a client that sees the
         # result and immediately re-submits must find the cache entry.
         # A cache failure is an operational problem, not a job failure:
@@ -618,19 +600,13 @@ class CecServer:
         ``job.trace``/``job.job_stats`` as soon as the terminal event
         fires.
         """
-        self.metrics.observe(
-            "service/job-seconds", job.elapsed_seconds(),
-            buckets=TIME_BUCKETS, unit="seconds",
-        )
+        self.recorder.observe("service/job-seconds", job.elapsed_seconds())
         recorder = job.recorder
         if recorder is None:
             return
         if job.started_at is not None:
             wait = job.queue_wait_seconds()
-            self.metrics.observe(
-                "service/queue-wait-seconds", wait,
-                buckets=TIME_BUCKETS, unit="seconds",
-            )
+            self.recorder.observe("service/queue-wait-seconds", wait)
             recorder.add_time("service/queue-wait", wait)
             self.recorder.add_time("service/queue-wait", wait)
             recorder.add_span(
@@ -911,9 +887,9 @@ class CecServer:
                 "service/jobs-per-second", completed / seconds
             )
         self._refresh_runtime_gauges()
-        # Latency quantiles from the cross-process histograms, e.g.
+        # Latency quantiles from the histograms, e.g.
         # "service/job-seconds/p50" — refreshed on every stats request.
-        for name, value in self.metrics.quantile_gauges().items():
+        for name, value in self.recorder.quantile_gauges().items():
             self.recorder.gauge(name, value)
         self.recorder.meta["version"] = __version__
         return self.recorder.report()
@@ -922,7 +898,8 @@ class CecServer:
         """Prometheus text rendering of metrics + stats (the `/metrics`
         body and the ``metrics`` verb's ``prometheus`` field)."""
         return to_prometheus_text(
-            self.metrics.report(), stats_report=self.stats_report(),
+            self.recorder.metrics_report(),
+            stats_report=self.stats_report(),
             build_info={
                 "component": "repro-serve", "version": __version__,
             },
@@ -933,9 +910,3 @@ def _trace_id_of(job):
     recorder = getattr(job, "recorder", None)
     context = recorder.trace_context if recorder is not None else None
     return context.trace_id if context is not None else None
-
-
-def _verdict_of(result_doc):
-    return {True: "equivalent", False: "not_equivalent"}.get(
-        result_doc.get("equivalent"), "undecided"
-    )

@@ -18,16 +18,15 @@ import io
 import time
 
 from ..aig.aiger import AigerError, read_aag
-from ..core.cec import check_equivalence
+from ..core.cec import check_equivalence, verdict_name
 from ..core.certify import CertificationError, certify
 from ..core.fraig import SweepOptions
-from ..core.serialize import result_to_dict, verdict_name
-from ..instrument import Budget, MetricsRegistry, Recorder, TraceContext
-from ..instrument.metrics import TIME_BUCKETS, observe_stats_workload
+from ..core.serialize import result_to_dict
+from ..instrument import Budget, Recorder, TraceContext
 from ..instrument.progress import (
     DEFAULT_INTERVAL,
     ProgressTracker,
-    jsonl_sink,
+    snapshot_sink,
 )
 from ..proof.trim import trim
 from .cache import OPTION_FIELDS
@@ -85,18 +84,19 @@ def execute_job(request):
 
         {"ok": True, "verdict": ..., "result": <repro-cec-result/2>,
          "stats": <repro-stats/1>, "trace": <repro-trace/1>,
-         "metrics": <repro-metrics/1>, "started_at": <epoch seconds>}
+         "started_at": <epoch seconds>}
         {"ok": False, "error": {"code": ..., "message": ...}}
 
-    ``started_at`` is the worker's own start stamp: the server measures
-    the job's queue wait up to it.
+    The job's report travels once, as ``stats``: the result document,
+    which the server caches and serves on every hit, carries
+    ``"stats": null``. ``started_at`` is the worker's own start stamp:
+    the server measures the job's queue wait up to it.
     """
     started_at = time.time()
     recorder = Recorder()
     recorder.meta["tool"] = "repro-serve-worker"
     context, _ = TraceContext.from_wire(request.get("trace"))
     recorder.start_trace(context)
-    metrics = MetricsRegistry()
     try:
         aig_a = read_aag(io.StringIO(request["aag_a"]))
         aig_b = read_aag(io.StringIO(request["aag_b"]))
@@ -109,14 +109,14 @@ def execute_job(request):
     if time_limit is not None or conflict_limit is not None:
         budget = Budget(time_limit=time_limit, conflict_limit=conflict_limit)
     # Live progress: the server hands each job a private spool path;
-    # the tracker appends one repro-progress/1 JSON line per heartbeat
-    # and the server's `progress` verb tails it. Strictly observational
-    # — the solver trajectory is identical with or without it.
+    # the tracker replaces it with each repro-progress/1 heartbeat and
+    # the server's `progress` verb reads it. Strictly observational —
+    # the solver trajectory is identical with or without it.
     progress_path = request.get("progress_path")
     if progress_path:
         interval = request.get("progress_interval") or DEFAULT_INTERVAL
         recorder.progress = ProgressTracker(
-            jsonl_sink(progress_path),
+            snapshot_sink(progress_path),
             interval_seconds=float(interval),
             budget=budget,
             meta={"tool": "repro-serve-worker"},
@@ -140,20 +140,14 @@ def execute_job(request):
                 certify(result, lint=bool(request.get("lint")))
         except CertificationError as exc:
             return _error(ERR_CERTIFY_FAILED, str(exc))
-    result.stats = recorder.report(budget=budget)
-    metrics.observe(
-        "service/check-seconds",
-        recorder.phase_seconds("service/check"),
-        buckets=TIME_BUCKETS, unit="seconds",
-    )
-    observe_stats_workload(metrics, result.stats)
+    stats = recorder.report(budget=budget)
+    result.stats = None  # sent once, as "stats", never cached
     return {
         "ok": True,
         "verdict": verdict_name(result.equivalent),
         "result": result_to_dict(result),
-        "stats": result.stats,
+        "stats": stats,
         "trace": recorder.trace_report(),
-        "metrics": metrics.report(),
         "started_at": started_at,
     }
 

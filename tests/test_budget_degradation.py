@@ -69,7 +69,7 @@ class TestCheckEquivalenceDegradation:
         report = validate_report(result.stats)
         assert report["budget"]["conflict_limit"] == 1
         assert report["budget"]["exhausted"] == "conflicts"
-        assert report["gauges"]["cec/verdict"] == "unknown"
+        assert report["gauges"]["cec/verdict"] == "undecided"
 
     def test_generous_budget_does_not_change_the_verdict(self):
         aig_a, aig_b = _equivalent_pair(width=4)

@@ -5,9 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.aig import lit_not, write_aag, write_aig
+from repro import cli
+from repro.aig import lit_not, read_aag, write_aag, write_aig
 from repro.circuits import carry_lookahead_adder, ripple_carry_adder
 from repro.cli import build_parser, main
+from repro.core.certify import CertificationError
 
 DATA = Path(__file__).resolve().parent.parent / "examples" / "data"
 
@@ -101,6 +103,46 @@ class TestMain:
         assert main(
             [file_a, file_b, "--sim-words", "1", "--seed", "42"]
         ) == 0
+
+
+class TestLocalChecks:
+    """A local run rejects bad input and bad certificates the way
+    ``--server`` does: ``error:`` or ``certificate INVALID:``, exit 3."""
+
+    @pytest.mark.parametrize("flags", [
+        [], ["--engine", "monolithic"], ["--engine", "bdd"],
+        ["--engine", "bddsweep"], ["--per-output"],
+    ], ids=lambda flags: " ".join(flags) or "sweep")
+    def test_interface_mismatch_is_invalid_input(self, flags, capsys):
+        code = main([str(DATA / "add08_a.aag"), str(DATA / "mul03_a.aag")]
+                    + flags)
+        assert code == 3
+        assert "error: interface mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("engine", ["sweep", "monolithic"])
+    def test_certify_checks_a_counterexample(self, engine, tmp_path,
+                                             capsys):
+        mutant = read_aag(str(DATA / "add08_b.aag"))
+        mutant.set_output(0, lit_not(mutant.outputs[0]))
+        mutant_path = tmp_path / "add08_flip.aag"
+        write_aag(mutant, str(mutant_path))
+        code = main([str(DATA / "add08_a.aag"), str(mutant_path),
+                     "--engine", engine, "--certify"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "NOT EQUIVALENT" in out
+        assert "certified: counterexample separates the circuits" in out
+
+    def test_rejected_certificate_is_invalid_input(
+        self, circuit_files, monkeypatch, capsys,
+    ):
+        def reject(result, **kwargs):
+            raise CertificationError("forged")
+
+        monkeypatch.setattr(cli, "certify", reject)
+        file_a, file_b, _ = circuit_files
+        assert main([file_a, file_b, "--certify"]) == 3
+        assert "certificate INVALID: forged" in capsys.readouterr().err
 
 
 class TestBddSweepEngine:

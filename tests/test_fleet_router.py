@@ -698,6 +698,28 @@ class TestTracing:
         assert route["parent_id"] == spans["client/request"]["span_id"]
         assert spans["service/job"]["parent_id"] == route["span_id"]
 
+    def test_router_spans_share_the_epoch_timeline(
+        self, fleet, adder_pair,
+    ):
+        _, peer = home_and_peer(fleet, adder_pair)
+        with ServiceClient(peer) as direct:
+            direct.check(*adder_pair)
+        recorder = Recorder()
+        recorder.start_trace(process="test-client")
+        with fleet.client() as client:
+            _, response = client.check(*adder_pair, recorder=recorder)
+        assert fleet.counters()["fleet/cache-transfers"] == 1
+        spans = {
+            span["name"]: span for span in response["trace"]["spans"]
+        }
+        request = spans["client/request"]
+        for name in ("fleet/route", "fleet/cache-transfer"):
+            span = spans[name]
+            # Inside the client's request, give or take clock jitter.
+            assert request["ts"] - 1.0 <= span["ts"], (name, span)
+            assert span["ts"] + span["dur"] \
+                <= request["ts"] + request["dur"] + 1.0, (name, span)
+
     def test_a_reused_routed_id_gets_no_stale_spans(
         self, tmp_path, adder_pair,
     ):
@@ -1016,6 +1038,37 @@ class TestTelemetry:
         assert "repro_fleet_route_seconds_count" in prometheus
         assert "repro_fleet_jobs_routed_total" in prometheus
         assert "repro_fleet_shards_up" in prometheus
+
+    def test_router_histograms_after_a_miss_and_a_transfer(
+        self, fleet, adder_pair,
+    ):
+        """The router's histograms, with unit, bounds and count, after
+        one routed miss and one submit served by a cross-shard
+        transfer."""
+        with fleet.client() as client:
+            _, response = client.check(*adder_pair)
+            assert response["cached"] is False
+        other = (aag_text(ripple_carry_adder(5)),
+                 aag_text(kogge_stone_adder(5)))
+        _, peer = home_and_peer(fleet, other)
+        with ServiceClient(peer) as direct:
+            direct.check(*other)
+        with fleet.client() as client:
+            _, response = client.check(*other)
+            assert response["cached"] is True
+            document, _ = client.metrics()
+        assert fleet.counters()["fleet/cache-transfers"] == 1
+        time_bounds = [
+            0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25,
+            0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0,
+        ]
+        assert {
+            name: (block["unit"], block["buckets"], block["count"])
+            for name, block in document["histograms"].items()
+        } == {
+            "fleet/route-seconds": ("seconds", time_bounds, 2),
+            "fleet/transfer-seconds": ("seconds", time_bounds, 1),
+        }
 
     def test_metrics_http_endpoint_scrapes(self, tmp_path, adder_pair):
         harness = RouterHarness(

@@ -143,42 +143,15 @@ class TestSolverThroughputCounters:
             assert name in text, name
 
     def test_prometheus_exposition_has_solver_totals(self):
-        from repro.instrument.metrics import MetricsRegistry, \
-            to_prometheus_text
+        from repro.instrument.metrics import to_prometheus_text
 
         rec, _ = self._solved_recorder()
         text = to_prometheus_text(
-            MetricsRegistry().report(), stats_report=rec.report()
+            rec.metrics_report(), stats_report=rec.report()
         )
         assert "repro_solver_restarts_total" in text
         assert "repro_solver_propagations_total" in text
         assert "repro_solver_conflicts_total" in text
-
-
-class TestRecorderTrace:
-    def test_events_written_as_jsonl(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        clock = FakeClock()
-        rec = Recorder(trace_path=str(path), clock=clock)
-        rec.event("merge", method="structural", node=12)
-        clock.advance(1.5)
-        rec.event("refine", patterns=64)
-        rec.close()
-        lines = [json.loads(l) for l in path.read_text().splitlines()]
-        assert [l["event"] for l in lines] == ["merge", "refine"]
-        assert lines[0]["node"] == 12
-        assert lines[1]["t"] == pytest.approx(1.5)
-
-    def test_no_trace_path_means_no_file(self, tmp_path):
-        rec = Recorder()
-        rec.event("merge", node=1)   # must not raise or open anything
-        rec.close()
-
-    def test_close_is_idempotent(self, tmp_path):
-        rec = Recorder(trace_path=str(tmp_path / "t.jsonl"))
-        rec.event("x")
-        rec.close()
-        rec.close()
 
 
 class TestReportSchema:
@@ -236,7 +209,6 @@ class TestNullRecorder:
         NULL_RECORDER.add_time("p", 1.0)
         NULL_RECORDER.count("c", 5)
         NULL_RECORDER.gauge("g", 1)
-        NULL_RECORDER.event("e", x=1)
         report = NULL_RECORDER.report()
         assert report["phases"] == {}
         assert report["counters"] == {}
@@ -277,7 +249,7 @@ class CountingNullRecorder:
         return {}
 
     def __getattr__(self, name):
-        # Any other hook (event, ...): count the call, do nothing.
+        # Any other hook (observe, ...): count the call, do nothing.
         def hook(*args, **kwargs):
             self.calls += 1
         return hook

@@ -1,10 +1,11 @@
-"""Histograms, the metrics registry, and the Prometheus renderer."""
+"""Histograms, the recorder's histogram store, and the Prometheus
+renderer."""
 
 import pytest
 
 from repro.instrument import (
     Histogram,
-    MetricsRegistry,
+    Recorder,
     validate_metrics_report,
     to_prometheus_text,
 )
@@ -69,22 +70,6 @@ class TestHistogram:
         hist.observe(100.0)
         assert hist.quantile(0.5) == 2.0
 
-    def test_merge_adds_counts(self):
-        a = Histogram("t", (1.0, 10.0))
-        b = Histogram("t", (1.0, 10.0))
-        a.observe(0.5)
-        b.observe(5.0)
-        b.observe(50.0)
-        a.merge(b)
-        assert a.counts == [1, 1, 1]
-        assert a.count == 3
-
-    def test_merge_rejects_different_bounds(self):
-        a = Histogram("t", (1.0, 10.0))
-        b = Histogram("t", (1.0, 20.0))
-        with pytest.raises(ValueError):
-            a.merge(b)
-
     def test_as_dict_carries_quantiles(self):
         hist = Histogram("t", (1.0,), unit="seconds")
         hist.observe(0.5)
@@ -95,89 +80,75 @@ class TestHistogram:
 
 
 class TestRegistry:
+    """The histograms a :class:`Recorder` keeps (``observe``,
+    ``metrics_report``, ``quantile_gauges``)."""
+
     def test_report_validates(self):
-        registry = MetricsRegistry()
-        registry.observe("service/job-seconds", 0.2)
-        report = registry.report()
+        recorder = Recorder()
+        recorder.observe("service/job-seconds", 0.2)
+        report = recorder.metrics_report()
         assert validate_metrics_report(report) is report
         assert report["schema"] == METRICS_SCHEMA
         assert list(iter_histogram_names(report)) == [
             "service/job-seconds",
         ]
+        assert report["histograms"]["service/job-seconds"]["buckets"] \
+            == list(TIME_BUCKETS)
 
     def test_first_caller_fixes_buckets(self):
-        registry = MetricsRegistry()
-        registry.observe("x", 3.0, buckets=(1.0, 10.0))
-        registry.observe("x", 5.0, buckets=(99.0,))  # ignored
-        assert registry.histogram("x").buckets == (1.0, 10.0)
+        recorder = Recorder()
+        recorder.observe("x", 3.0, buckets=(1.0, 10.0), unit="things")
+        recorder.observe("x", 5.0, buckets=(99.0,), unit="other")
+        block = recorder.metrics_report()["histograms"]["x"]
+        assert block["buckets"] == [1.0, 10.0]
+        assert block["unit"] == "things"
+        assert block["counts"] == [0, 2, 0]
 
     def test_merge_report_round_trip(self):
-        worker = MetricsRegistry()
-        worker.observe("service/job-seconds", 0.2)
-        worker.observe("service/job-seconds", 0.4)
-        server = MetricsRegistry()
-        server.observe("service/job-seconds", 0.1)
-        server.merge_report(worker.report())
-        hist = server.histogram("service/job-seconds")
-        assert hist.count == 3
-        assert hist.sum == pytest.approx(0.7)
-
-    def test_merge_report_adopts_unknown_histograms(self):
-        worker = MetricsRegistry()
-        worker.observe("solver/conflicts", 12.0, buckets=COUNT_BUCKETS)
-        server = MetricsRegistry()
-        server.merge_report(worker.report())
-        assert server.histogram("solver/conflicts").count == 1
-
-    def test_merge_report_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            MetricsRegistry().merge_report({"schema": "nope"})
-
-    def test_merge_report_rejects_mismatched_buckets(self):
-        server = MetricsRegistry()
-        server.observe("x", 1.0, buckets=(1.0, 10.0))
-        worker = MetricsRegistry()
-        worker.observe("x", 1.0, buckets=(2.0, 20.0))
-        with pytest.raises(ValueError):
-            server.merge_report(worker.report())
-        # The local histogram is untouched by the failed merge.
-        assert server.histogram("x").count == 1
-
-    def test_merge_report_adopts_unknown_layout_verbatim(self):
-        worker = MetricsRegistry()
-        worker.observe("weird", 3.0, buckets=(0.5, 3.5, 7.0),
-                       unit="things")
-        server = MetricsRegistry()
-        server.merge_report(worker.report())
-        hist = server.histogram("weird")
-        assert hist.buckets == (0.5, 3.5, 7.0)
-        assert hist.unit == "things"
-        assert hist.count == 1
-        # A second merge of the same layout folds by addition.
-        server.merge_report(worker.report())
-        assert server.histogram("weird").count == 2
+        # A worker's report reaches the server's stats through
+        # merge_report and its histograms through the workload
+        # observation, the one path worker telemetry takes.
+        worker = Recorder()
+        worker.add_time("service/check", 0.2)
+        worker.count("solver/conflicts", 12)
+        report = worker.report()
+        server = Recorder()
+        server.merge_report(report)
+        observe_stats_workload(server, report)
+        assert server.phase_seconds("service/check") == 0.2
+        assert server.counter("solver/conflicts") == 12
+        histograms = server.metrics_report()["histograms"]
+        assert histograms["service/check-seconds"]["sum"] == 0.2
+        assert histograms["solver/conflicts"]["sum"] == 12.0
+        assert histograms["solver/conflicts"]["buckets"] \
+            == list(COUNT_BUCKETS)
 
     def test_quantile_gauges(self):
-        registry = MetricsRegistry()
-        registry.observe("service/job-seconds", 0.2)
-        gauges = registry.quantile_gauges()
+        recorder = Recorder()
+        recorder.observe("service/job-seconds", 0.2)
+        gauges = recorder.quantile_gauges()
         assert set(gauges) == {
             "service/job-seconds/p50",
             "service/job-seconds/p90",
             "service/job-seconds/p99",
         }
         assert all(v > 0 for v in gauges.values())
-        # Empty histograms publish nothing.
-        empty = MetricsRegistry()
-        empty.histogram("idle")
-        assert empty.quantile_gauges() == {}
+        # A recorder without observations publishes nothing.
+        assert Recorder().quantile_gauges() == {}
+
+    def test_null_recorder_keeps_no_histograms(self):
+        from repro.instrument import NULL_RECORDER
+
+        NULL_RECORDER.observe("x", 1.0)
+        assert NULL_RECORDER.metrics_report()["histograms"] == {}
+        assert NULL_RECORDER.quantile_gauges() == {}
 
 
 class TestValidation:
     def _valid(self):
-        registry = MetricsRegistry()
-        registry.observe("x", 1.0, buckets=(1.0, 2.0))
-        return registry.report()
+        recorder = Recorder()
+        recorder.observe("x", 1.0, buckets=(1.0, 2.0))
+        return recorder.metrics_report()
 
     @pytest.mark.parametrize("mutate", [
         lambda d: d.pop("schema"),
@@ -205,10 +176,10 @@ class TestPrometheus:
             "repro_cache_lookup_seconds_bucket"
 
     def test_histogram_rendering_is_cumulative(self):
-        registry = MetricsRegistry()
+        recorder = Recorder()
         for value in (0.5, 5.0, 50.0):
-            registry.observe("x", value, buckets=(1.0, 10.0))
-        text = to_prometheus_text(registry.report())
+            recorder.observe("x", value, buckets=(1.0, 10.0))
+        text = to_prometheus_text(recorder.metrics_report())
         assert '# TYPE repro_x histogram' in text
         assert 'repro_x_bucket{le="1"} 1' in text
         assert 'repro_x_bucket{le="10"} 2' in text
@@ -217,8 +188,8 @@ class TestPrometheus:
         assert text.endswith("\n")
 
     def test_stats_counters_and_gauges(self):
-        registry = MetricsRegistry()
-        registry.observe("x", 1.0, buckets=(1.0,))
+        recorder = Recorder()
+        recorder.observe("x", 1.0, buckets=(1.0,))
         stats = {
             "counters": {"service/jobs-completed": 7},
             "gauges": {
@@ -227,46 +198,59 @@ class TestPrometheus:
                 "service/flag": True,             # bool: skipped
             },
         }
-        text = to_prometheus_text(registry.report(), stats_report=stats)
+        text = to_prometheus_text(recorder.metrics_report(),
+                                  stats_report=stats)
         assert "repro_service_jobs_completed_total 7" in text
         assert "repro_service_hit_rate 0.5" in text
         assert "verdict" not in text
         assert "repro_service_flag" not in text
 
     def test_build_info_line(self):
-        registry = MetricsRegistry()
-        registry.observe("x", 1.0, buckets=(1.0,))
+        recorder = Recorder()
+        recorder.observe("x", 1.0, buckets=(1.0,))
         text = to_prometheus_text(
-            registry.report(),
+            recorder.metrics_report(),
             build_info={"component": "repro-serve", "version": "9.9.9"},
         )
         assert "# TYPE repro_build_info gauge" in text
         assert ('repro_build_info{component="repro-serve",'
                 'version="9.9.9"} 1') in text
         # Omitted build info renders no such line.
-        assert "build_info" not in to_prometheus_text(registry.report())
+        assert "build_info" not in to_prometheus_text(
+            recorder.metrics_report()
+        )
 
     def test_build_info_escapes_label_values(self):
-        registry = MetricsRegistry()
-        registry.observe("x", 1.0, buckets=(1.0,))
+        recorder = Recorder()
+        recorder.observe("x", 1.0, buckets=(1.0,))
         text = to_prometheus_text(
-            registry.report(),
+            recorder.metrics_report(),
             build_info={"note": 'a"b\\c\nd'},
         )
         assert 'note="a\\"b\\\\c\\nd"' in text
 
     def test_workload_observation(self):
-        registry = MetricsRegistry()
-        observe_stats_workload(registry, {
+        recorder = Recorder()
+        observe_stats_workload(recorder, {
+            "phases": {"service/check": {"seconds": 0.3, "count": 1}},
             "counters": {"solver/conflicts": 42},
             "gauges": {"proof/clauses": 1000},
         })
-        report = registry.report()
-        assert report["histograms"]["solver/conflicts"]["count"] == 1
-        assert report["histograms"]["proof/clauses"]["count"] == 1
-        # A report without workload counters contributes nothing.
-        observe_stats_workload(registry, {"counters": {}, "gauges": {}})
-        assert registry.histogram("solver/conflicts").count == 1
+        histograms = recorder.metrics_report()["histograms"]
+        assert histograms["service/check-seconds"]["sum"] == 0.3
+        assert histograms["service/check-seconds"]["unit"] == "seconds"
+        assert histograms["solver/conflicts"]["count"] == 1
+        assert histograms["proof/clauses"]["count"] == 1
+        # A report without check time or workload contributes nothing.
+        observe_stats_workload(
+            recorder, {"phases": {}, "counters": {}, "gauges": {}},
+        )
+        counts = {
+            name: block["count"] for name, block
+            in recorder.metrics_report()["histograms"].items()
+        }
+        assert counts == {"service/check-seconds": 1,
+                          "solver/conflicts": 1, "proof/clauses": 1}
 
     def test_default_bucket_tables_are_increasing(self):
         for table in (TIME_BUCKETS, COUNT_BUCKETS):

@@ -8,6 +8,7 @@ perturbs.
 """
 
 import json
+import os
 
 import pytest
 
@@ -23,11 +24,10 @@ from repro.instrument.progress import (
     ProgressTracker,
     estimate_eta_band,
     format_heartbeat,
-    jsonl_sink,
     latest_heartbeat,
     progress_bar,
-    read_heartbeats,
     remove_spool,
+    snapshot_sink,
     validate_progress,
 )
 from repro.proof import ProofStore
@@ -226,25 +226,34 @@ class TestValidateProgress:
 
 class TestSpoolFiles:
     def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "hb.jsonl")
-        sink = jsonl_sink(path)
+        path = str(tmp_path / "hb.json")
+        sink = snapshot_sink(path)
         for seq in (1, 2, 3):
             sink({"schema": PROGRESS_SCHEMA, "seq": seq})
-        documents = read_heartbeats(path)
-        assert [d["seq"] for d in documents] == [1, 2, 3]
-        assert latest_heartbeat(path)["seq"] == 3
-        assert [d["seq"] for d in read_heartbeats(path, limit=2)] == [2, 3]
+        assert latest_heartbeat(path) == {
+            "schema": PROGRESS_SCHEMA, "seq": 3,
+        }
 
-    def test_torn_tail_line_is_skipped(self, tmp_path):
-        path = str(tmp_path / "hb.jsonl")
-        with open(path, "w") as handle:
-            handle.write(json.dumps({"seq": 1}) + "\n")
-            handle.write('{"seq": 2, "tr')  # writer died mid-append
-        assert [d["seq"] for d in read_heartbeats(path)] == [1]
+    def test_spool_holds_only_the_newest_heartbeat(self, tmp_path):
+        path = str(tmp_path / "hb.json")
+        tracker = ProgressTracker(
+            snapshot_sink(path), interval_seconds=0.0, clock=FakeClock(),
+            ticks_per_check=1,
+        )
+        for conflicts in range(2000):
+            tracker.tick(FakeStats(conflicts=conflicts))
+        assert tracker.seq == 2000 and tracker.dropped == 0
+        # One document, the newest, and no temporary file left behind.
+        with open(path) as handle:
+            document = json.loads(handle.read())
+        assert document["seq"] == 2000
+        assert document["counters"]["conflicts"] == 1999
+        validate_progress(document)
+        assert latest_heartbeat(path) == document
+        assert sorted(os.listdir(str(tmp_path))) == ["hb.json"]
 
     def test_missing_file_reads_empty(self, tmp_path):
-        path = str(tmp_path / "nope.jsonl")
-        assert read_heartbeats(path) == []
+        path = str(tmp_path / "nope.json")
         assert latest_heartbeat(path) is None
         remove_spool(path)  # idempotent, no raise
 

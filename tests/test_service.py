@@ -920,6 +920,15 @@ class TestClientArguments:
         assert client_cli.main(argv) == EXIT_INVALID_INPUT
         assert "repro-client:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("interval", ["-1", "0"])
+    def test_status_follow_rejects_non_positive_interval(self, interval,
+                                                         capsys):
+        argv = ["--server", "127.0.0.1:1", "status", "j000001",
+                "--follow", "--interval", interval]
+        assert client_cli.main(argv) == EXIT_INVALID_INPUT
+        # Rejected before connecting: nothing listens on port 1.
+        assert "--interval must be > 0" in capsys.readouterr().err
+
 
 class TestClientBackoff:
     def test_retry_delay_is_full_jitter_with_cap(self, monkeypatch):

@@ -15,6 +15,7 @@ import urllib.request
 
 import pytest
 
+from repro.aig import lit_not
 from repro.aig.aiger import write_aag
 from repro.circuits import kogge_stone_adder, ripple_carry_adder
 from repro.instrument import (
@@ -50,6 +51,20 @@ def server(tmp_path):
     instance.start()
     yield instance
     instance.close()
+
+
+#: Bucket bounds every time-shaped histogram uses (seconds).
+TIME_BOUNDS = [
+    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
+    1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0,
+]
+
+#: Bucket bounds of the per-job workload histograms.
+COUNT_BOUNDS = [
+    1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0,
+    2500.0, 5000.0, 10000.0, 25000.0, 50000.0, 100000.0, 250000.0,
+    500000.0, 1000000.0,
+]
 
 
 def _span_names(trace):
@@ -149,6 +164,54 @@ class TestTracePropagation:
         response = execute_job(request)
         assert response["ok"]
         validate_trace_report(response["trace"])
+
+
+class TestHistogramPins:
+    def test_shard_histograms_after_misses_and_hits(self, tmp_path):
+        """Every histogram a shard serves, with its unit, bounds and
+        count after two misses (one equivalent, one not) and two hits
+        (the repeat and the swapped pair), and the quantile gauges its
+        stats report derives from them."""
+        equal = (aag_text(ripple_carry_adder(4)),
+                 aag_text(kogge_stone_adder(4)))
+        mutant = kogge_stone_adder(4).copy()
+        mutant.set_output(1, lit_not(mutant.outputs[1]))
+        instance = CecServer(
+            str(tmp_path / "pin.sock"), workers=1,
+            cache_dir=str(tmp_path / "cache"),
+        )
+        instance.start()
+        try:
+            with ServiceClient(instance.address) as client:
+                for pair, cached in (
+                    (equal, False), (equal, True), (equal[::-1], True),
+                    ((equal[0], aag_text(mutant)), False),
+                ):
+                    _, response = client.check(*pair)
+                    assert response["cached"] is cached
+                document, _ = client.metrics()
+                gauges = client.stats()["gauges"]
+        finally:
+            instance.close()
+        validate_metrics_report(document)
+        pinned = {
+            name: (block["unit"], block["buckets"], block["count"])
+            for name, block in document["histograms"].items()
+        }
+        assert pinned == {
+            "service/job-seconds": ("seconds", TIME_BOUNDS, 4),
+            "cache/lookup-seconds": ("seconds", TIME_BOUNDS, 4),
+            "service/queue-wait-seconds": ("seconds", TIME_BOUNDS, 2),
+            "service/check-seconds": ("seconds", TIME_BOUNDS, 2),
+            "solver/conflicts": ("conflicts", COUNT_BOUNDS, 2),
+            "proof/clauses": ("clauses", COUNT_BOUNDS, 2),
+        }
+        quantiles = {name for name in gauges
+                     if name.rsplit("/", 1)[-1] in ("p50", "p90", "p99")}
+        assert quantiles == {
+            "%s/%s" % (name, label)
+            for name in pinned for label in ("p50", "p90", "p99")
+        }
 
 
 class TestMetricsSurface:
