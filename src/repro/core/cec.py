@@ -7,7 +7,9 @@ sweep engine, and returns either
 * an **equivalence verdict with a resolution proof** of the miter CNF
   (plus the miter-output unit clause) deriving the empty clause, or
 * a **non-equivalence verdict with a counterexample** input assignment,
-  validated against both circuits.
+  validated against both circuits. The sweep stops at the first
+  simulation pattern on which the miter output is 1, so a pair that
+  simulation separates is refuted without proof-logged SAT work.
 
 The proof is the checkable artifact the paper is about; pass the result
 to :func:`repro.core.certify.certify` to replay it independently.
@@ -114,9 +116,9 @@ def check_equivalence(aig_a, aig_b, options=None, match_names=False,
         miter.aig, options or SweepOptions(), recorder=recorder,
         budget=budget,
     )
-    with recorder.phase("cec/sweep"):
-        engine.sweep()
     out_lit = miter.output
+    with recorder.phase("cec/sweep"):
+        engine.sweep(witness_lit=out_lit)
     with recorder.phase("cec/conclude"):
         result = _conclude(miter, engine, out_lit, budget)
     result.elapsed_seconds = time.perf_counter() - start

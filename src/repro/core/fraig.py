@@ -24,6 +24,14 @@ After the sweep, the miter output has (when the circuits are equivalent)
 been merged with constant 0: asserting the miter-output unit clause then
 refutes the formula by level-0 propagation, completing a single
 resolution proof of the miter CNF + output unit — the paper's artifact.
+
+A non-equivalence verdict needs no proof, only a counterexample. Given
+the miter output as its *witness* literal, the sweep stops as soon as
+that literal's simulation signature is nonzero — checked before the
+first AND node and after every refinement — so a pair that simulation
+already separates costs its counterexample, not a proof-logged sweep.
+Refinement only appends patterns, so the lowest witnessing pattern is
+the one a full sweep would have ended with.
 """
 
 import time
@@ -305,6 +313,10 @@ class SweepEngine:
         _, root_phase = self._norm_signature(root)
         return root, phase ^ root_phase
 
+    def _witnessed(self, lit):
+        """True when some simulation pattern sets *lit* (never for None)."""
+        return lit is not None and self.sim.lit_signature(lit) != 0
+
     def _refine(self, model_result):
         """Absorb a counterexample pattern (plus distance-1 neighbours when
         configured) with one resimulation pass, then rebuild the class
@@ -558,8 +570,17 @@ class SweepEngine:
     # Main sweep
     # ------------------------------------------------------------------
 
-    def sweep(self):
-        """Run the sweep over all AND nodes (idempotent)."""
+    def sweep(self, witness_lit=None):
+        """Run the sweep over all AND nodes (idempotent).
+
+        Args:
+            witness_lit: optional AIG literal whose difference ends the
+                check (the miter output). The sweep stops at the first
+                simulation witness: as soon as the literal's signature is
+                nonzero, before the first AND node or after any
+                refinement. A stopped sweep is final; every phase,
+                counter and gauge is still flushed to the recorder.
+        """
         if self._swept:
             return self.stats
         stats = self.stats
@@ -579,7 +600,8 @@ class SweepEngine:
         self._register_root(0)  # the constant
         for var in self.aig.inputs:
             self._register_root(var)
-        for var in self.aig.and_vars():
+        witnessed = self._witnessed(witness_lit)
+        for var in () if witnessed else self.aig.and_vars():
             stats.nodes_processed += 1
             if progress is not None:
                 progress.update_sweep(
@@ -633,6 +655,11 @@ class SweepEngine:
                 self._refine(outcome)
                 if timing:
                     sim_s += clock() - t0
+                if self._witnessed(witness_lit):
+                    witnessed = True
+                    break
+            if witnessed:
+                break
             if not merged:
                 self._register_root(var)
                 f0, f1 = self.aig.fanins(var)

@@ -957,12 +957,15 @@ class FleetRouter:
 
     def stats_report(self):
         """Router-level ``repro-stats/1`` report (counters, ring and
-        hit-rate gauges; uptime re-gauged per report so scrapes always
-        see a fresh value)."""
+        hit-rate gauges; uptime and the latency quantiles, e.g.
+        ``fleet/route-seconds/p50``, re-gauged per report so scrapes
+        always see fresh values)."""
         self.recorder.gauge(
             "fleet/uptime-seconds",
             time.monotonic() - self._started_monotonic,
         )
+        for name, value in self.recorder.quantile_gauges().items():
+            self.recorder.gauge(name, value)
         return self.recorder.report()
 
     def prometheus_text(self):

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import bisect
 from typing import (
-    TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple,
 )
 
 from ..analyze.schemas import METRICS_SCHEMA as METRICS_SCHEMA  # registry
@@ -284,15 +284,18 @@ def observe_stats_workload(
     observation per metric — its ``service/check`` time, solver
     conflicts and proof clauses — so the histograms answer "how heavy
     is a typical job", not "how many conflicts total" (the counters
-    already do that). Metrics the report lacks are not observed.
+    already do that). A checked job that made no SAT call (a pair the
+    sweep refuted by simulation alone) has no ``solver/conflicts``
+    counter and counts as 0 conflicts. Other metrics the report lacks
+    are not observed.
     """
     check = stats_report.get("phases", {}).get("service/check")
     if check is not None:
         recorder.observe("service/check-seconds", float(check["seconds"]))
     counters = stats_report.get("counters", {})
-    if "solver/conflicts" in counters:
+    if check is not None or "solver/conflicts" in counters:
         recorder.observe(
-            "solver/conflicts", float(counters["solver/conflicts"]),
+            "solver/conflicts", float(counters.get("solver/conflicts", 0)),
             buckets=COUNT_BUCKETS, unit="conflicts",
         )
     gauges = stats_report.get("gauges", {})
@@ -302,8 +305,3 @@ def observe_stats_workload(
             "proof/clauses", float(clauses),
             buckets=COUNT_BUCKETS, unit="clauses",
         )
-
-
-def iter_histogram_names(document: Dict[str, Any]) -> Iterable[str]:
-    """The histogram names present in a ``repro-metrics/1`` document."""
-    return sorted(document.get("histograms", {}))

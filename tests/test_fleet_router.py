@@ -1028,6 +1028,17 @@ class TestTelemetry:
         assert len(occupancy) == 2
         assert sum(occupancy) == pytest.approx(1.0)
 
+    def test_stats_verb_carries_latency_quantiles(self, fleet, adder_pair):
+        with fleet.client() as client:
+            client.check(*adder_pair)
+            gauges = client.stats()["gauges"]
+        quantiles = {name for name in gauges
+                     if name.rsplit("/", 1)[-1] in ("p50", "p90", "p99")}
+        assert quantiles == {"fleet/route-seconds/p50",
+                             "fleet/route-seconds/p90",
+                             "fleet/route-seconds/p99"}
+        assert gauges["fleet/route-seconds/p50"] > 0.0
+
     def test_metrics_verb_and_prometheus_rendering(
         self, fleet, adder_pair,
     ):

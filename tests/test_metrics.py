@@ -13,7 +13,6 @@ from repro.instrument.metrics import (
     COUNT_BUCKETS,
     METRICS_SCHEMA,
     TIME_BUCKETS,
-    iter_histogram_names,
     observe_stats_workload,
     prometheus_name,
 )
@@ -89,9 +88,7 @@ class TestRegistry:
         report = recorder.metrics_report()
         assert validate_metrics_report(report) is report
         assert report["schema"] == METRICS_SCHEMA
-        assert list(iter_histogram_names(report)) == [
-            "service/job-seconds",
-        ]
+        assert sorted(report["histograms"]) == ["service/job-seconds"]
         assert report["histograms"]["service/job-seconds"]["buckets"] \
             == list(TIME_BUCKETS)
 
@@ -251,6 +248,17 @@ class TestPrometheus:
         }
         assert counts == {"service/check-seconds": 1,
                           "solver/conflicts": 1, "proof/clauses": 1}
+        # A checked job that made no SAT call has no solver/conflicts
+        # counter; it counts as 0 conflicts, one sample per checked job.
+        observe_stats_workload(recorder, {
+            "phases": {"service/check": {"seconds": 0.01, "count": 1}},
+            "counters": {},
+            "gauges": {"proof/clauses": 80},
+        })
+        conflicts = recorder.metrics_report()["histograms"][
+            "solver/conflicts"]
+        assert (conflicts["count"], conflicts["sum"]) == (2, 42.0)
+        assert conflicts["counts"][0] == 1
 
     def test_default_bucket_tables_are_increasing(self):
         for table in (TIME_BUCKETS, COUNT_BUCKETS):
