@@ -13,7 +13,7 @@ from ..aig.miter import build_miter
 from ..cnf.tseitin import miter_axioms, tseitin_encode
 from ..instrument import Recorder
 from ..proof.store import ProofStore
-from ..sat.solver import SAT, UNKNOWN, Solver
+from ..sat.solver import SAT, UNKNOWN, Solver, propagate_kernel
 
 
 class MonolithicResult:
@@ -106,6 +106,7 @@ def monolithic_check(aig_a, aig_b, proof=True, max_conflicts=None,
         outcome = MonolithicResult(
             True, None, store, cnf, solver.stats, elapsed
         )
+    rec.gauge("solver/kernel", propagate_kernel())
     if store is not None:
         rec.gauge("proof/clauses", len(store))
         rec.gauge("proof/axioms", store.num_axioms)

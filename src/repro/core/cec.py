@@ -21,7 +21,7 @@ from ..aig.literal import FALSE
 from ..aig.miter import build_miter
 from ..cnf.tseitin import miter_axioms
 from ..instrument import Recorder
-from ..sat.solver import SAT, UNKNOWN, UNSAT
+from ..sat.solver import SAT, UNKNOWN, UNSAT, propagate_kernel
 from .fraig import SweepEngine, SweepOptions
 
 
@@ -125,6 +125,7 @@ def check_equivalence(aig_a, aig_b, options=None, match_names=False,
     if result.equivalent is False:
         _validate_counterexample(aig_a, aig_b, result.counterexample)
     recorder.gauge("cec/verdict", verdict_name(result.equivalent))
+    recorder.gauge("solver/kernel", propagate_kernel())
     if result.proof is not None:
         recorder.gauge("proof/clauses", len(result.proof))
         recorder.gauge("proof/axioms", result.proof.num_axioms)

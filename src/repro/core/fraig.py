@@ -182,8 +182,8 @@ class SweepEngine:
         options: a :class:`SweepOptions` (defaults used when None).
         recorder: optional :class:`~repro.instrument.recorder.Recorder`
             receiving sweep phase timings (``sweep/sim``,
-            ``sweep/strash``, ``sweep/sat``), candidate-outcome counters
-            and (when tracing) per-candidate events.
+            ``sweep/strash``, ``sweep/sat``) and candidate-outcome
+            counters.
         budget: optional :class:`~repro.instrument.budget.Budget`.
             Candidate SAT calls consult it; once exhausted, remaining
             candidates are *skipped* (never mis-merged) so the sweep

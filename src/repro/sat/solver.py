@@ -33,6 +33,12 @@ integers; internally the core runs on flat integer storage:
   variables that lack one; once more than half the entries are stale
   (over ``2 * num_vars`` of them) the heap is rebuilt from the current
   entries.
+* **Native propagation.**  :meth:`Solver._propagate` is a C twin of
+  :meth:`Solver._propagate_python` (``propagate.c``), built on first
+  import by :mod:`repro.sat.native`.  It changes the same lists in the
+  same order, so every decision and proof is unchanged; a host that
+  cannot build it runs the Python method (one warning on the
+  ``repro.sat`` logger).
 
 The arena layout changes none of the solver's decisions: watch-list
 order, literal order inside clauses, bump order and tie-breaks replicate
@@ -64,12 +70,15 @@ import time
 
 from ..instrument import NULL_RECORDER
 from ..proof.store import ProofError
+from . import native
 
 SAT = True
 UNSAT = False
 UNKNOWN = None
 
 _NO_REASON = -1  # reason-table sentinel: decision / unassigned
+
+_KERNEL = native.load()  # None: this host cannot build propagate.c
 
 
 class SolverStats:
@@ -113,6 +122,14 @@ def luby(index):
         seq -= 1
         x %= size
     return 1 << seq
+
+
+def propagate_kernel():
+    """Which unit propagation :class:`Solver` runs: ``"native"`` or
+    ``"python"``."""
+    if Solver._propagate is Solver._propagate_python:
+        return "python"
+    return "native"
 
 
 class Solver:
@@ -449,7 +466,7 @@ class Solver:
     # Propagation
     # ------------------------------------------------------------------
 
-    def _propagate(self):
+    def _propagate_python(self):
         """Unit propagation; returns a conflicting clause ref or None.
 
         The hot loop: per watch pair the blocker is checked first (one
@@ -553,6 +570,10 @@ class Solver:
         stats.propagations += qhead - qstart
         self._qhead = qhead
         return None
+
+    # The C twin of _propagate_python when this host could build it.
+    _propagate = (_propagate_python if _KERNEL is None
+                  else _KERNEL.propagate)
 
     # ------------------------------------------------------------------
     # Conflict analysis

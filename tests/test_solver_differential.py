@@ -15,6 +15,11 @@ and to the committed trimmed proof ``examples/data/add24_miter.tc``,
 byte for byte. After each sweep the solver's branching heap is checked
 to hold exactly one current entry per live variable and at most three
 entries per variable in all.
+
+Every test runs on both unit-propagation paths: the classes as written
+use ``Solver._propagate`` (the native kernel wherever it builds), and
+their ``...Python`` subclasses at the end of the module force
+``Solver._propagate_python``.
 """
 
 from collections import Counter
@@ -277,3 +282,32 @@ class TestSweepSolves:
         assert new.engine.stats.sat_calls == ref.engine.stats.sat_calls
         assert dumps_tracecheck(trim(new.proof)[0]) \
             == dumps_tracecheck(trim(ref.proof)[0])
+
+
+class PythonPropagate:
+    """Mixin: run the inherited tests on ``Solver._propagate_python``."""
+
+    @pytest.fixture(autouse=True)
+    def python_propagate(self, monkeypatch):
+        monkeypatch.setattr(Solver, "_propagate", Solver._propagate_python)
+
+
+class TestEquivalentMitersPython(PythonPropagate, TestEquivalentMiters):
+    pass
+
+
+class TestNonEquivalentMutantsPython(PythonPropagate,
+                                     TestNonEquivalentMutants):
+    pass
+
+
+class TestProofCorpusInputsPython(PythonPropagate, TestProofCorpusInputs):
+    pass
+
+
+class TestAssumptionSolvesPython(PythonPropagate, TestAssumptionSolves):
+    pass
+
+
+class TestSweepSolvesPython(PythonPropagate, TestSweepSolves):
+    pass
