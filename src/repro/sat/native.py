@@ -1,4 +1,4 @@
-"""Build and load the C unit-propagation kernel (``propagate.c``).
+"""Build and load the C search kernel (``propagate.c``).
 
 :func:`load` compiles ``propagate.c`` into a CPython extension the first
 time any process imports :mod:`repro.sat.solver` from a checkout, and
@@ -6,7 +6,8 @@ loads it from then on:
 
 * The compiler is the interpreter's own (``sysconfig``'s ``CC``,
   ``CCSHARED``, ``LDSHARED`` and include directory) and runs in a child
-  process.
+  process.  :data:`CFLAGS` keeps floating-point contraction off, so no
+  host fuses a multiply and an add that Python rounds twice.
 * The module lives in this package's ``__pycache__``, named by a hash of
   the source and build flags and by the interpreter's ABI tag
   (``EXT_SUFFIX``), so an edited source or another Python builds its
@@ -18,8 +19,9 @@ loads it from then on:
   would let another user inject code. There is no fallback location.
 
 When the module cannot be built or loaded, :func:`load` logs one warning
-on the ``repro.sat`` logger and returns None; the solver then runs its
-pure-Python ``_propagate_python``, which makes the same moves.
+on the ``repro.sat`` logger and returns None; ``repro.sat.solver.Solver``
+is then :class:`~repro.sat.reference.ReferenceSolver`, the one Python
+search, which makes the same moves more slowly.
 """
 
 import hashlib
@@ -41,7 +43,7 @@ SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "propagate.c")
 CACHE_DIR = os.path.join(os.path.dirname(SOURCE), "__pycache__")
 MODULE_NAME = "repro.sat._propagate"  # PyInit__propagate in the source
-CFLAGS = ("-O2",)
+CFLAGS = ("-O2", "-ffp-contract=off")
 COMPILE_TIMEOUT_S = 300
 
 
@@ -55,8 +57,9 @@ def load():
     try:
         return _load()
     except Exception as exc:
-        log.warning("native propagation kernel unavailable, running "
-                    "pure Python: %s: %s", type(exc).__name__, exc)
+        log.warning("native search kernel unavailable, running the "
+                    "Python ReferenceSolver: %s: %s",
+                    type(exc).__name__, exc)
         return None
 
 

@@ -1,16 +1,24 @@
-"""The pre-arena reference CDCL solver (seed implementation).
+"""The one Python CDCL search, and the result types both solvers share.
 
-This is the object-graph solver the flat-arena core in
-:mod:`repro.sat.solver` replaced: per-clause ``_Clause`` records,
-list-of-list watch tables, DIMACS literals end to end.  It is retained
-verbatim (modulo the class rename) as the differential oracle: the
-differential test sweep (``tests/test_solver_differential.py``)
-asserts the arena solver reproduces this solver's verdicts, models,
-statistics, and trimmed proofs bit for bit.
+:class:`ReferenceSolver` is the object-graph solver the flat-arena core
+in :mod:`repro.sat.solver` replaced: per-clause ``_Clause`` records,
+list-of-list watch tables, DIMACS literals end to end.  It has two
+roles:
 
-It shares ``SAT``/``UNSAT``/``UNKNOWN``, :class:`SolverStats`,
-:class:`SolveResult` and :func:`luby` with the production module, so a
-result from either solver is interchangeable downstream.
+* **The oracle.**  The differential tests
+  (``tests/test_solver_differential.py``,
+  ``tests/test_propagate_kernel.py``) assert that the arena solver, whose
+  search runs in C (``propagate.c``), reproduces this solver's verdicts,
+  models, statistics, learnt clauses and resolution chains bit for bit.
+* **The fallback.**  Where the C search cannot be built,
+  ``repro.sat.solver.Solver`` *is* this class, so it serves production
+  use: it validates assumptions, ticks live progress and records the
+  same ``solver/*`` timings and counters as the arena solver.
+
+``SAT``/``UNSAT``/``UNKNOWN``, :class:`SolverStats`, :class:`SolveResult`
+and :func:`luby` live here and are re-exported by
+:mod:`repro.sat.solver`, so a result from either solver is
+interchangeable downstream.
 """
 
 import heapq
@@ -18,9 +26,173 @@ import time
 
 from ..instrument import NULL_RECORDER
 from ..proof.store import ProofError
-from .solver import SAT, UNSAT, UNKNOWN, SolveResult, SolverStats, luby
 
-__all__ = ["ReferenceSolver"]
+__all__ = [
+    "SAT", "UNSAT", "UNKNOWN", "ReferenceSolver", "SolveResult",
+    "SolverStats", "luby",
+]
+
+SAT = True
+UNSAT = False
+UNKNOWN = None
+
+#: The SolverStats counters each solve call adds to ``solver/<name>``.
+_COUNTED = ("conflicts", "decisions", "propagations", "restarts",
+            "learned", "deleted")
+
+
+class SolverStats:
+    """Counters accumulated across all solve calls."""
+
+    def __init__(self):
+        self.decisions = 0
+        self.propagations = 0
+        self.conflicts = 0
+        self.restarts = 0
+        self.learned = 0
+        self.deleted = 0
+        self.minimized_literals = 0
+
+    def __repr__(self):
+        return (
+            "SolverStats(decisions=%d, propagations=%d, conflicts=%d, "
+            "restarts=%d, learned=%d, deleted=%d)"
+            % (
+                self.decisions,
+                self.propagations,
+                self.conflicts,
+                self.restarts,
+                self.learned,
+                self.deleted,
+            )
+        )
+
+
+def luby(index):
+    """The Luby restart sequence (1-based): 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8..."""
+    if index < 1:
+        raise ValueError("luby index is 1-based")
+    x = index - 1
+    size, seq = 1, 0
+    while size < x + 1:
+        seq += 1
+        size = 2 * size + 1
+    while size - 1 != x:
+        size = (size - 1) >> 1
+        seq -= 1
+        x %= size
+    return 1 << seq
+
+
+class SolveResult:
+    """Outcome of one ``solve`` call.
+
+    Attributes:
+        status: ``SAT`` (True), ``UNSAT`` (False) or ``UNKNOWN`` (None).
+        final_clause: on UNSAT, the derived clause over negated
+            assumptions (empty tuple for unconditional refutation).
+        proof_id: proof-store id of *final_clause* when proof logging.
+    """
+
+    def __init__(self, status, model, final_clause, proof_id):
+        self.status = status
+        self._model = model
+        self.final_clause = final_clause
+        self.proof_id = proof_id
+
+    def __bool__(self):
+        return self.status is SAT
+
+    def model_value(self, lit):
+        """Value (0/1) of *lit* in the model (SAT results only)."""
+        if self.status is not SAT:
+            raise ValueError("no model: solver result is not SAT")
+        val = self._model[abs(lit)]
+        if val == 0:
+            val = -1  # unconstrained variable: pick false
+        return 1 if (val > 0) == (lit > 0) else 0
+
+    def model(self):
+        """Model as a list of signed values indexed by variable."""
+        if self.status is not SAT:
+            raise ValueError("no model: solver result is not SAT")
+        return list(self._model)
+
+    def __repr__(self):
+        names = {SAT: "SAT", UNSAT: "UNSAT", UNKNOWN: "UNKNOWN"}
+        return "SolveResult(%s)" % names[self.status]
+
+
+def _solve(self, assumptions=(), max_conflicts=None, budget=None):
+    """Solve under *assumptions*.
+
+    The ``solve`` method of both :class:`ReferenceSolver` and the arena
+    ``Solver``: it checks the assumptions, runs the class's
+    ``_solve_loop`` and records the call's ``solver/*`` timings and
+    counters.
+
+    Args:
+        assumptions: literals assumed true for this call only.
+        max_conflicts: per-call conflict cap (None = unlimited).
+        budget: optional :class:`~repro.instrument.budget.Budget`
+            overriding the instance budget for this call. Conflicts
+            are charged per conflict and wall time is checked once
+            per conflict and every 256 decisions; exhaustion returns
+            ``UNKNOWN`` and leaves the solver reusable (a later call
+            under a fresh budget continues from the same state).
+
+    Returns:
+        A :class:`SolveResult` with status ``SAT`` (model available),
+        ``UNSAT`` (final clause + proof id available) or ``UNKNOWN``
+        (conflict/time budget exhausted).
+
+    Raises:
+        ValueError: an assumption is 0, or two assumptions share a
+            variable.
+    """
+    if budget is None:
+        budget = self.budget
+    assumptions = list(assumptions)
+    seen_vars = set()
+    for lit in assumptions:
+        if lit == 0:
+            raise ValueError("0 is not an assumption literal")
+        if abs(lit) in seen_vars:
+            raise ValueError(
+                "duplicate or contradictory assumption variable %d"
+                % abs(lit)
+            )
+        seen_vars.add(abs(lit))
+    if self._unsat:
+        return SolveResult(UNSAT, None, (), self._unsat_proof_id)
+    for lit in assumptions:
+        self.ensure_vars(abs(lit))
+    assumption_set = set(assumptions)
+    rec = self.recorder
+    timing = rec.enabled
+    # Live progress, on enabled recorders only: the tracker just
+    # reads the stats block, so the search is the same either way.
+    progress = rec.progress if timing else None
+    clock = time.perf_counter
+    solve_start = clock() if timing else 0.0
+    stats = self.stats
+    before = [getattr(stats, name) for name in _COUNTED]
+    try:
+        return self._solve_loop(
+            assumptions, assumption_set, max_conflicts, budget,
+            timing, clock, progress,
+        )
+    finally:
+        if timing:
+            # The loop stores its per-phase accumulators on the
+            # instance so this flush sees them even on early return.
+            propagate_s, analyze_s, restart_s = self._last_solve_phases
+            rec.add_time("solver/solve", clock() - solve_start)
+            rec.add_time("solver/propagate", propagate_s)
+            rec.add_time("solver/analyze", analyze_s)
+            rec.add_time("solver/restart", restart_s)
+            for name, start in zip(_COUNTED, before):
+                rec.count("solver/" + name, getattr(stats, name) - start)
 
 
 class _Clause:
@@ -608,76 +780,10 @@ class ReferenceSolver:
     # Solving
     # ------------------------------------------------------------------
 
-    def solve(self, assumptions=(), max_conflicts=None, budget=None):
-        """Solve under *assumptions*.
-
-        Args:
-            assumptions: literals assumed true for this call only.
-            max_conflicts: per-call conflict cap (None = unlimited).
-            budget: optional :class:`~repro.instrument.budget.Budget`
-                overriding the instance budget for this call. Conflicts
-                are charged per conflict and wall time is checked once
-                per conflict and every 256 decisions; exhaustion returns
-                ``UNKNOWN`` and leaves the solver reusable (a later call
-                under a fresh budget continues from the same state).
-
-        Returns:
-            A :class:`SolveResult` with status ``SAT`` (model available),
-            ``UNSAT`` (final clause + proof id available) or ``UNKNOWN``
-            (conflict/time budget exhausted).
-        """
-        if budget is None:
-            budget = self.budget
-        if self._unsat:
-            return SolveResult(UNSAT, None, (), self._unsat_proof_id)
-        assumptions = list(assumptions)
-        for lit in assumptions:
-            self.ensure_vars(abs(lit))
-        seen_vars = set()
-        for lit in assumptions:
-            if abs(lit) in seen_vars:
-                raise ValueError(
-                    "duplicate or contradictory assumption variable %d"
-                    % abs(lit)
-                )
-            seen_vars.add(abs(lit))
-        assumption_set = set(assumptions)
-        rec = self.recorder
-        timing = rec.enabled
-        clock = time.perf_counter
-        solve_start = clock() if timing else 0.0
-        conflicts_before = self.stats.conflicts
-        decisions_before = self.stats.decisions
-        propagations_before = self.stats.propagations
-        try:
-            return self._solve_loop(
-                assumptions, assumption_set, max_conflicts, budget,
-                timing, clock,
-            )
-        finally:
-            if timing:
-                # The loop stores its per-phase accumulators on the
-                # instance so this flush sees them even on early return.
-                propagate_s, analyze_s, restart_s = self._last_solve_phases
-                rec.add_time("solver/solve", clock() - solve_start)
-                rec.add_time("solver/propagate", propagate_s)
-                rec.add_time("solver/analyze", analyze_s)
-                rec.add_time("solver/restart", restart_s)
-                rec.count(
-                    "solver/conflicts",
-                    self.stats.conflicts - conflicts_before,
-                )
-                rec.count(
-                    "solver/decisions",
-                    self.stats.decisions - decisions_before,
-                )
-                rec.count(
-                    "solver/propagations",
-                    self.stats.propagations - propagations_before,
-                )
+    solve = _solve
 
     def _solve_loop(self, assumptions, assumption_set, max_conflicts,
-                    budget, timing, clock):
+                    budget, timing, clock, progress=None):
         """The CDCL search loop (split out of :meth:`solve` for timing)."""
         propagate_s = 0.0
         analyze_s = 0.0
@@ -730,6 +836,8 @@ class ReferenceSolver:
                         self.cancel_until(0)
                         flush()
                         return SolveResult(UNKNOWN, None, None, None)
+                if progress is not None:
+                    progress.tick(self.stats)
                 if max_conflicts is not None and total_conflicts >= max_conflicts:
                     self.cancel_until(0)
                     flush()
@@ -773,9 +881,13 @@ class ReferenceSolver:
                 lit = var if self._phase[var] else -var
             self.stats.decisions += 1
             decisions_since_check += 1
-            if budget is not None and decisions_since_check >= 256:
+            if decisions_since_check >= 256 \
+                    and (budget is not None or progress is not None):
                 decisions_since_check = 0
-                if budget.exhausted_reason() is not None:
+                if progress is not None:
+                    progress.tick(self.stats)
+                if budget is not None \
+                        and budget.exhausted_reason() is not None:
                     self.cancel_until(0)
                     flush()
                     return SolveResult(UNKNOWN, None, None, None)

@@ -33,22 +33,27 @@ integers; internally the core runs on flat integer storage:
   variables that lack one; once more than half the entries are stale
   (over ``2 * num_vars`` of them) the heap is rebuilt from the current
   entries.
-* **Native propagation.**  :meth:`Solver._propagate` is a C twin of
-  :meth:`Solver._propagate_python` (``propagate.c``), built on first
-  import by :mod:`repro.sat.native`.  It changes the same lists in the
-  same order, so every decision and proof is unchanged; a host that
-  cannot build it runs the Python method (one warning on the
-  ``repro.sat`` logger).
+* **Native search.**  Unit propagation, conflict analysis (with
+  minimization, level-0 elimination and both activity bumps and
+  rescales), backtracking and branching run in C (``propagate.c``,
+  built on first import by :mod:`repro.sat.native`) on these very lists,
+  dicts and floats.  The solve loop, clause loading, clause-database
+  reduction, arena compaction and final-conflict analysis stay here, as
+  does proof logging: the C analysis returns the resolution chain and
+  :meth:`Solver._record_learnt` logs it.  A host that cannot build the
+  module runs :class:`~repro.sat.reference.ReferenceSolver` as
+  ``Solver`` instead (one warning on the ``repro.sat`` logger).
 
 The arena layout changes none of the solver's decisions: watch-list
-order, literal order inside clauses, bump order and tie-breaks replicate
-the reference implementation (:mod:`repro.sat.reference`) exactly, so
-search trajectories — and therefore emitted resolution proofs — are
-bit-identical.  The blocker fast path fires only when the blocker is
-*still one of the two watched literals* and replays the same slot swap
-the full path would have performed; a plain MiniSat stale-tolerant
-blocker would keep watches the reference solver moves and diverge.  See
-docs/performance.md for the measured effect.
+order, literal order inside clauses, bump order, heap order and
+tie-breaks replicate the reference implementation
+(:mod:`repro.sat.reference`) exactly, so search trajectories — and
+therefore emitted resolution proofs — are bit-identical.  The blocker
+fast path fires only when the blocker is *still one of the two watched
+literals* and replays the same slot swap the full path would have
+performed; a plain MiniSat stale-tolerant blocker would keep watches the
+reference solver moves and diverge.  See docs/performance.md for the
+measured effect.
 
 What distinguishes the solver is *proof logging*: when constructed with a
 :class:`~repro.proof.store.ProofStore`, every original clause is registered
@@ -66,70 +71,30 @@ calls; learned clauses and their proofs persist.
 """
 
 import heapq
-import time
 
 from ..instrument import NULL_RECORDER
 from ..proof.store import ProofError
 from . import native
-
-SAT = True
-UNSAT = False
-UNKNOWN = None
+from .reference import (
+    SAT,
+    UNKNOWN,
+    UNSAT,
+    ReferenceSolver,
+    SolveResult,
+    SolverStats,
+    _solve,
+    luby,
+)
 
 _NO_REASON = -1  # reason-table sentinel: decision / unassigned
 
 _KERNEL = native.load()  # None: this host cannot build propagate.c
 
 
-class SolverStats:
-    """Counters accumulated across all solve calls."""
-
-    def __init__(self):
-        self.decisions = 0
-        self.propagations = 0
-        self.conflicts = 0
-        self.restarts = 0
-        self.learned = 0
-        self.deleted = 0
-        self.minimized_literals = 0
-
-    def __repr__(self):
-        return (
-            "SolverStats(decisions=%d, propagations=%d, conflicts=%d, "
-            "restarts=%d, learned=%d, deleted=%d)"
-            % (
-                self.decisions,
-                self.propagations,
-                self.conflicts,
-                self.restarts,
-                self.learned,
-                self.deleted,
-            )
-        )
-
-
-def luby(index):
-    """The Luby restart sequence (1-based): 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8..."""
-    if index < 1:
-        raise ValueError("luby index is 1-based")
-    x = index - 1
-    size, seq = 1, 0
-    while size < x + 1:
-        seq += 1
-        size = 2 * size + 1
-    while size - 1 != x:
-        size = (size - 1) >> 1
-        seq -= 1
-        x %= size
-    return 1 << seq
-
-
 def propagate_kernel():
-    """Which unit propagation :class:`Solver` runs: ``"native"`` or
-    ``"python"``."""
-    if Solver._propagate is Solver._propagate_python:
-        return "python"
-    return "native"
+    """Which search :class:`Solver` runs: ``"native"`` (the C search of
+    ``propagate.c``) or ``"python"`` (:class:`ReferenceSolver`)."""
+    return "python" if Solver is ReferenceSolver else "native"
 
 
 class Solver:
@@ -426,349 +391,23 @@ class Solver:
     def _new_decision_level(self):
         self._trail_lim.append(len(self._trail))
 
-    def cancel_until(self, level):
-        """Undo all assignments above *level*."""
-        if len(self._trail_lim) <= level:
-            return
-        trail = self._trail
-        lit_val = self._lit_val
-        phase = self._phase
-        reason = self._reason
-        activity = self._activity
-        heap = self._heap
-        live = self._heap_live
-        push = heapq.heappush
-        bound = self._trail_lim[level]
-        # Per-variable state updates commute (each var appears once), and
-        # heap pops yield the strict (-activity, var) order regardless of
-        # push order, so forward iteration is trajectory-equivalent to the
-        # reference solver's reverse walk.  A pick returns the smallest
-        # (-activity, var) among unassigned variables whose current entry
-        # is in the heap; pushing a duplicate of an entry already there,
-        # as the reference solver does, adds nothing to that set, so
-        # skipping it moves no decision.
-        for ilit in trail[bound:]:
-            var = ilit >> 1
-            phase[var] = not (ilit & 1)
-            lit_val[ilit] = 0
-            lit_val[ilit ^ 1] = 0
-            reason[var] = _NO_REASON
-            if not live[var]:
-                live[var] = True
-                push(heap, (-activity[var], var))
-        del trail[bound:]
-        del self._trail_lim[level:]
-        self._qhead = len(trail)
-        if len(heap) > 2 * self.num_vars:
-            self._compact_heap()
-
     # ------------------------------------------------------------------
-    # Propagation
+    # The C search (propagate.c)
     # ------------------------------------------------------------------
 
-    def _propagate_python(self):
-        """Unit propagation; returns a conflicting clause ref or None.
-
-        The hot loop: per watch pair the blocker is checked first (one
-        ``_lit_val`` subscript); only a stale or non-true blocker touches
-        the clause body in the arena.  Compaction is two-phase: while no
-        watch has moved away, kept entries stay where they are (zero list
-        writes on the common all-kept traversal); the first relocation
-        switches to a write cursor *j* that slides the survivors down in
-        place.  The fast path fires only when the blocker is still one of
-        the two watched literals and performs the same slot0/slot1
-        normalization as the full path, keeping arena state — and hence
-        the search trajectory — identical to the reference solver's.
-        """
-        trail = self._trail
-        tappend = trail.append
-        watches = self._watches
-        lit_val = self._lit_val
-        arena = self._arena
-        level = self._level
-        reason = self._reason
-        dlevel = len(self._trail_lim)
-        stats = self.stats
-        qhead = qstart = self._qhead
-        while qhead < len(trail):
-            ilit = trail[qhead]
-            qhead += 1
-            false_lit = ilit ^ 1
-            ws = watches[false_lit]
-            if not ws:
-                continue
-            j = -1  # write cursor; -1 while no entry has been dropped
-            for i in range(0, len(ws), 2):
-                ref = ws[i]
-                blocker = ws[i + 1]
-                if lit_val[blocker] == 1:
-                    first = arena[ref + 1]
-                    if first == blocker:
-                        if j >= 0:
-                            ws[j] = ref
-                            ws[j + 1] = blocker
-                            j += 2
-                        continue
-                    if arena[ref + 2] == blocker:
-                        # Reference behavior: slot0 (the false literal)
-                        # swaps with slot1 before the satisfied check.
-                        arena[ref + 1] = blocker
-                        arena[ref + 2] = first
-                        if j >= 0:
-                            ws[j] = ref
-                            ws[j + 1] = blocker
-                            j += 2
-                        continue
-                    # Stale blocker: fall through to the full path.
-                else:
-                    first = arena[ref + 1]
-                if first == false_lit:
-                    first = arena[ref + 2]
-                    arena[ref + 1] = first
-                    arena[ref + 2] = false_lit
-                val0 = lit_val[first]
-                if val0 == 1:
-                    if j >= 0:
-                        ws[j] = ref
-                        ws[j + 1] = first
-                        j += 2
-                    else:
-                        ws[i + 1] = first  # refresh blocker in place
-                    continue
-                for pos in range(ref + 3, ref + 1 + (arena[ref] >> 1)):
-                    cand = arena[pos]
-                    if lit_val[cand] != -1:
-                        arena[ref + 2] = cand
-                        arena[pos] = false_lit
-                        other = watches[cand]
-                        other.append(ref)
-                        other.append(first)
-                        if j < 0:
-                            j = i  # first relocation: compact from here
-                        break
-                else:
-                    if j >= 0:
-                        ws[j] = ref
-                        ws[j + 1] = first
-                        j += 2
-                    else:
-                        ws[i + 1] = first
-                    if val0 == -1:
-                        if j >= 0:
-                            ws[j:] = ws[i + 2:]
-                        stats.propagations += qhead - qstart
-                        self._qhead = len(trail)
-                        return ref
-                    lit_val[first] = 1
-                    lit_val[first ^ 1] = -1
-                    var = first >> 1
-                    level[var] = dlevel
-                    reason[var] = ref
-                    tappend(first)
-            if j >= 0:
-                del ws[j:]
-        stats.propagations += qhead - qstart
-        self._qhead = qhead
-        return None
-
-    # The C twin of _propagate_python when this host could build it.
-    _propagate = (_propagate_python if _KERNEL is None
-                  else _KERNEL.propagate)
-
-    # ------------------------------------------------------------------
-    # Conflict analysis
-    # ------------------------------------------------------------------
-
-    def _rescale_activity(self):
-        """Scale every activity and the increment by 1e-100.
-
-        Every heap entry goes stale except those of zero-activity
-        variables, so the live flags are recomputed from one scan of the
-        heap.  Returns the scaled increment.
-        """
-        activity = self._activity
-        for v in range(1, self.num_vars + 1):
-            activity[v] *= 1e-100
-        self._var_inc *= 1e-100
-        live = self._heap_live
-        live[:] = [False] * len(live)
-        for neg_act, var in self._heap:
-            if -neg_act == activity[var]:
-                live[var] = True
-        return self._var_inc
-
-    def _bump_clause(self, ref):
-        cla_act = self._cla_act
-        act = cla_act.get(ref, 0.0) + self._cla_inc
-        cla_act[ref] = act
-        if act > 1e20:
-            for lref in self._learnts:
-                cla_act[lref] *= 1e-20
-            self._cla_inc *= 1e-20
-
-    def _analyze(self, conflict):
-        """First-UIP conflict analysis with proof logging.
-
-        Returns ``(learnt_lits, backtrack_level, chain)`` where
-        ``learnt_lits`` holds *internal* literals, ``learnt_lits[0]`` is
-        the asserting literal and *chain* is the trivial resolution chain
-        deriving the clause (or None when not proof logging).
-
-        Level-0 literals are dropped from the learned clause, as usual in
-        CDCL; to keep the logged chain exact, every dropped literal is
-        resolved away against the level-0 reason chain in a final
-        elimination pass (see :meth:`_eliminate_level0`).
-        """
-        seen = self._seen
-        level = self._level
-        arena = self._arena
-        trail = self._trail
-        reason = self._reason
-        activity = self._activity
-        heap = self._heap
-        live = self._heap_live
-        push = heapq.heappush
-        var_inc = self._var_inc
-        current_level = len(self._trail_lim)
-        logging = self.proof is not None
-        proof_ids = self._proof_ids
-        chain = [proof_ids[conflict]] if logging else None
-        zero_marked = set()
-        learnt = []
-        path_count = 0
-        ref = conflict
-        pos = len(trail) - 1
-        uip = None
-        while True:
-            if arena[ref] & 1:
-                self._bump_clause(ref)
-            start = 0 if ref == conflict else 1
-            for lit in arena[ref + 1 + start:ref + 1 + (arena[ref] >> 1)]:
-                var = lit >> 1
-                if seen[var]:
-                    continue
-                lvl = level[var]
-                if lvl == 0:
-                    zero_marked.add(var)
-                    continue
-                seen[var] = True
-                # VSIDS bump (the rescale branch is cold).
-                act = activity[var] + var_inc
-                activity[var] = act
-                if act > 1e100:
-                    var_inc = self._rescale_activity()
-                    act = activity[var]
-                push(heap, (-act, var))
-                live[var] = True
-                if lvl >= current_level:
-                    path_count += 1
-                else:
-                    learnt.append(lit)
-            # Pick the next trail literal to expand.
-            while not seen[trail[pos] >> 1]:
-                pos -= 1
-            uip = trail[pos]
-            var = uip >> 1
-            seen[var] = False
-            pos -= 1
-            path_count -= 1
-            if path_count == 0:
-                break
-            ref = reason[var]
-            if logging:
-                chain.append((var, proof_ids[ref]))
-        learnt_full = [uip ^ 1] + learnt
-        learnt_full, chain = self._minimize(learnt_full, chain, zero_marked)
-        if logging and zero_marked:
-            self._eliminate_level0(zero_marked, chain)
-        for lit in learnt_full:
-            seen[lit >> 1] = False
-        # Note: literals resolved away at the current level were already
-        # unmarked during the walk; _minimize unmarks removed ones.
-        if len(learnt_full) == 1:
-            backtrack = 0
-        else:
-            # Find the second-highest level and move its literal to slot 1.
-            best = 1
-            for k in range(2, len(learnt_full)):
-                if level[learnt_full[k] >> 1] > level[learnt_full[best] >> 1]:
-                    best = k
-            learnt_full[1], learnt_full[best] = learnt_full[best], learnt_full[1]
-            backtrack = level[learnt_full[1] >> 1]
-        self._var_inc /= self._var_decay
-        self._cla_inc /= self._clause_decay
-        return learnt_full, backtrack, chain
-
-    def _minimize(self, learnt, chain, zero_marked):
-        """Local learned-clause minimization (self-subsuming resolution).
-
-        A literal ``l`` (other than the asserting one) is redundant when
-        every other literal of ``reason(~l)`` is already in the learned
-        clause or assigned false at level 0. Each removal appends one
-        resolution step to the chain; level-0 literals it drags in are
-        queued on *zero_marked* for the final elimination pass, keeping
-        the proof exact.
-        """
-        level = self._level
-        reason = self._reason
-        arena = self._arena
-        proof_ids = self._proof_ids
-        logging = chain is not None
-        members = set(learnt)
-        changed = True
-        while changed:
-            changed = False
-            for k in range(len(learnt) - 1, 0, -1):
-                lit = learnt[k]
-                var = lit >> 1
-                ref = reason[var]
-                if ref == _NO_REASON:
-                    continue
-                body = arena[ref + 1:ref + 1 + (arena[ref] >> 1)]
-                redundant = True
-                for l in body:
-                    if (l >> 1 != var and l not in members
-                            and level[l >> 1] != 0):
-                        redundant = False
-                        break
-                if not redundant:
-                    continue
-                members.discard(lit)
-                learnt.pop(k)
-                self.stats.minimized_literals += 1
-                self._seen[var] = False
-                if logging:
-                    chain.append((var, proof_ids[ref]))
-                for l in body:
-                    lv = l >> 1
-                    if lv != var and l not in members and level[lv] == 0:
-                        zero_marked.add(lv)
-                changed = True
-        return learnt, chain
-
-    def _eliminate_level0(self, zero_marked, chain):
-        """Append chain steps resolving away level-0 literals.
-
-        Walks the level-0 trail segment in reverse, resolving each marked
-        variable with its reason; side literals of those reasons (also at
-        level 0) are marked transitively. Reverse trail order guarantees a
-        variable's elimination step comes after every step that could have
-        introduced its literal into the resolvent.
-        """
-        arena = self._arena
-        bound = self._trail_lim[0] if self._trail_lim else len(self._trail)
-        for pos in range(bound - 1, -1, -1):
-            var = self._trail[pos] >> 1
-            if var not in zero_marked:
-                continue
-            ref = self._reason[var]
-            if ref == _NO_REASON:
-                raise ProofError("level-0 variable %d has no reason" % var)
-            chain.append((var, self._proof_ids[ref]))
-            for lit in arena[ref + 1:ref + 1 + (arena[ref] >> 1)]:
-                lvar = lit >> 1
-                if lvar != var:
-                    zero_marked.add(lvar)
+    # Functions of propagate.c, bound like methods: unit propagation
+    # (returns a conflicting clause ref or None), first-UIP analysis
+    # (returns the learnt internal literals, asserting one first, the
+    # backtrack level and the resolution chain, or None when not
+    # logging), the learnt-clause activity bump, backtracking and the
+    # VSIDS pick (a variable, or None when all are assigned).  Without
+    # the module, Solver is ReferenceSolver (end of this module).
+    if _KERNEL is not None:
+        _propagate = _KERNEL.propagate
+        _analyze = _KERNEL.analyze
+        _bump_clause = _KERNEL.bump_clause
+        cancel_until = _KERNEL.cancel_until
+        _pick_branch_var = _KERNEL.pick_branch_var
 
     # ------------------------------------------------------------------
     # Learned clauses
@@ -906,22 +545,6 @@ class Solver:
         ]
         heapq.heapify(heap)
 
-    def _pick_branch_var(self):
-        heap = self._heap
-        activity = self._activity
-        lit_val = self._lit_val
-        live = self._heap_live
-        while heap:
-            neg_act, var = heapq.heappop(heap)
-            if -neg_act == activity[var]:
-                live[var] = False
-                if lit_val[var << 1] == 0:
-                    return var
-        for var in range(1, self.num_vars + 1):
-            if lit_val[var << 1] == 0:
-                return var
-        return None
-
     # ------------------------------------------------------------------
     # Final-conflict analysis (assumptions)
     # ------------------------------------------------------------------
@@ -1016,99 +639,7 @@ class Solver:
     # Solving
     # ------------------------------------------------------------------
 
-    def solve(self, assumptions=(), max_conflicts=None, budget=None):
-        """Solve under *assumptions*.
-
-        Args:
-            assumptions: literals assumed true for this call only.
-            max_conflicts: per-call conflict cap (None = unlimited).
-            budget: optional :class:`~repro.instrument.budget.Budget`
-                overriding the instance budget for this call. Conflicts
-                are charged per conflict and wall time is checked once
-                per conflict and every 256 decisions; exhaustion returns
-                ``UNKNOWN`` and leaves the solver reusable (a later call
-                under a fresh budget continues from the same state).
-
-        Returns:
-            A :class:`SolveResult` with status ``SAT`` (model available),
-            ``UNSAT`` (final clause + proof id available) or ``UNKNOWN``
-            (conflict/time budget exhausted).
-
-        Raises:
-            ValueError: an assumption is 0, or two assumptions share a
-                variable.
-        """
-        if budget is None:
-            budget = self.budget
-        assumptions = list(assumptions)
-        seen_vars = set()
-        for lit in assumptions:
-            if lit == 0:
-                raise ValueError("0 is not an assumption literal")
-            if abs(lit) in seen_vars:
-                raise ValueError(
-                    "duplicate or contradictory assumption variable %d"
-                    % abs(lit)
-                )
-            seen_vars.add(abs(lit))
-        if self._unsat:
-            return SolveResult(UNSAT, None, (), self._unsat_proof_id)
-        for lit in assumptions:
-            self.ensure_vars(abs(lit))
-        assumption_set = set(assumptions)
-        rec = self.recorder
-        timing = rec.enabled
-        # Live-progress tracker: attached to enabled recorders only.
-        # The tracker strictly observes the stats block, so the search
-        # trajectory (and the emitted proof) is identical either way.
-        progress = rec.progress if timing else None
-        clock = time.perf_counter
-        solve_start = clock() if timing else 0.0
-        stats = self.stats
-        conflicts_before = stats.conflicts
-        decisions_before = stats.decisions
-        propagations_before = stats.propagations
-        restarts_before = stats.restarts
-        learned_before = stats.learned
-        deleted_before = stats.deleted
-        try:
-            return self._solve_loop(
-                assumptions, assumption_set, max_conflicts, budget,
-                timing, clock, progress,
-            )
-        finally:
-            if timing:
-                # The loop stores its per-phase accumulators on the
-                # instance so this flush sees them even on early return.
-                propagate_s, analyze_s, restart_s = self._last_solve_phases
-                rec.add_time("solver/solve", clock() - solve_start)
-                rec.add_time("solver/propagate", propagate_s)
-                rec.add_time("solver/analyze", analyze_s)
-                rec.add_time("solver/restart", restart_s)
-                rec.count(
-                    "solver/conflicts",
-                    stats.conflicts - conflicts_before,
-                )
-                rec.count(
-                    "solver/decisions",
-                    stats.decisions - decisions_before,
-                )
-                rec.count(
-                    "solver/propagations",
-                    stats.propagations - propagations_before,
-                )
-                rec.count(
-                    "solver/restarts",
-                    stats.restarts - restarts_before,
-                )
-                rec.count(
-                    "solver/learned",
-                    stats.learned - learned_before,
-                )
-                rec.count(
-                    "solver/deleted",
-                    stats.deleted - deleted_before,
-                )
+    solve = _solve
 
     def _solve_loop(self, assumptions, assumption_set, max_conflicts,
                     budget, timing, clock, progress=None):
@@ -1224,40 +755,6 @@ class Solver:
             self._enqueue_int(ilit, _NO_REASON)
 
 
-class SolveResult:
-    """Outcome of one :meth:`Solver.solve` call.
-
-    Attributes:
-        status: ``SAT`` (True), ``UNSAT`` (False) or ``UNKNOWN`` (None).
-        final_clause: on UNSAT, the derived clause over negated
-            assumptions (empty tuple for unconditional refutation).
-        proof_id: proof-store id of *final_clause* when proof logging.
-    """
-
-    def __init__(self, status, model, final_clause, proof_id):
-        self.status = status
-        self._model = model
-        self.final_clause = final_clause
-        self.proof_id = proof_id
-
-    def __bool__(self):
-        return self.status is SAT
-
-    def model_value(self, lit):
-        """Value (0/1) of *lit* in the model (SAT results only)."""
-        if self.status is not SAT:
-            raise ValueError("no model: solver result is not SAT")
-        val = self._model[abs(lit)]
-        if val == 0:
-            val = -1  # unconstrained variable: pick false
-        return 1 if (val > 0) == (lit > 0) else 0
-
-    def model(self):
-        """Model as a list of signed values indexed by variable."""
-        if self.status is not SAT:
-            raise ValueError("no model: solver result is not SAT")
-        return list(self._model)
-
-    def __repr__(self):
-        names = {SAT: "SAT", UNSAT: "UNSAT", UNKNOWN: "UNKNOWN"}
-        return "SolveResult(%s)" % names[self.status]
+if _KERNEL is None:
+    # The one Python search serves where the C search cannot be built.
+    Solver = ReferenceSolver  # noqa: F811

@@ -25,7 +25,7 @@ from .proof.stats import proof_stats
 from .proof.store import ProofStore
 from .proof.tracecheck import write_tracecheck
 from .proof.trim import trim
-from .sat.solver import SAT, UNSAT, Solver
+from .sat.solver import SAT, UNSAT, Solver, propagate_kernel
 
 
 def build_parser():
@@ -93,6 +93,7 @@ def main(argv=None):
         return EXIT_INVALID_INPUT
     recorder = Recorder()
     recorder.meta.update({"tool": "repro-sat", "cnf": args.cnf})
+    recorder.gauge("solver/kernel", propagate_kernel())
     budget = None
     if args.time_limit is not None:
         budget = Budget(time_limit=args.time_limit)

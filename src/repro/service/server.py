@@ -12,7 +12,10 @@ Threading model: ``socketserver.ThreadingMixIn`` gives one handler
 thread per connection; handler threads only parse requests, perform
 cache lookups, and wait on job events. All solving happens in the
 worker pool (``workers >= 1``: separate processes; ``workers == 0``:
-one in-process thread, for tests and platforms without ``fork``).
+one in-process thread, for tests and platforms without ``fork``). A
+worker that dies breaks the process pool; the next submit replaces it
+(counted as ``service/pool-replacements``), so a crash costs the job it
+killed, not the shard.
 Shared state is the :class:`~repro.service.jobs.JobTable` (locked) and
 the server's :class:`~repro.instrument.Recorder` (thread-safe), which
 aggregates per-job timings into server-level throughput and hit-rate
@@ -20,13 +23,18 @@ telemetry served by the ``stats`` verb.
 """
 
 import io
+import multiprocessing
 import os
 import shutil
 import socketserver
 import tempfile
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import (
+    BrokenExecutor,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+)
 
 from .. import __version__
 from ..aig.aiger import AigerError, read_aag
@@ -190,6 +198,8 @@ class CecServer:
         self._lock = threading.Lock()
         self.recorder.gauge("service/workers", max(workers, 1))
         self._executor = None
+        self._broken_pool = None   # the pool a dead worker broke
+        self._retired_pools = []   # replaced pools, reaped in close()
         self._server = None
         self._metrics_http = None
         try:
@@ -277,8 +287,11 @@ class CecServer:
         listener dying before its first ``accept``).
         """
         self.shutdown()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
+        with self._lock:
+            pools = self._retired_pools + [self._executor]
+        for pool in pools:
+            if pool is not None:
+                pool.shutdown(wait=True)
         if self._server is not None:
             self._server.server_close()
         # Swap the endpoint out under the lock (close() may race a
@@ -482,8 +495,8 @@ class CecServer:
             "progress_interval": self.progress_interval,
         }
         try:
-            job.future = self._executor.submit(execute_job, payload)
-        except RuntimeError as exc:  # pool already shut down
+            executor, job.future = self._submit_to_pool(payload)
+        except RuntimeError as exc:  # pool shut down with the server
             self.jobs.release(job)
             job.fail(protocol.ERR_SHUTTING_DOWN, str(exc))
             self.jobs.note_terminal(job)
@@ -491,7 +504,8 @@ class CecServer:
                 protocol.ERR_SHUTTING_DOWN, str(exc), verb="submit",
             )
         job.future.add_done_callback(
-            lambda future, job=job: self._on_job_finished(job, future)
+            lambda future, job=job, executor=executor:
+            self._on_job_finished(job, future, executor)
         )
         log.info(
             "job %s admitted (queue depth %d)",
@@ -504,12 +518,61 @@ class CecServer:
             queue_depth=self.jobs.pending(),
         )
 
-    def _on_job_finished(self, job, future):
+    def _submit_to_pool(self, payload):
+        """Submit a job; returns ``(pool, future)``.
+
+        A pool that a dead worker broke is replaced first (see
+        :meth:`_replace_broken_pool`), so a crash costs the job it
+        killed, not the shard. A pool the server shut down raises
+        ``RuntimeError``.
+        """
+        executor = self._executor
+        if executor is self._broken_pool:
+            executor = self._replace_broken_pool(executor)
+        try:
+            return executor, executor.submit(execute_job, payload)
+        except BrokenExecutor:  # broke before any job noticed
+            executor = self._replace_broken_pool(executor)
+            return executor, executor.submit(execute_job, payload)
+
+    def _replace_broken_pool(self, broken):
+        """Swap the broken pool *broken* for a new one, once per
+        breakage, and return the current pool.
+
+        Only a process pool breaks (the in-process thread pool has no
+        initializer to fail). The server is threaded by now, so the new
+        pool spawns its workers instead of forking them. The broken pool
+        is reaped in :meth:`close`. While the server shuts down nothing
+        is replaced, and the broken pool's refusal answers the submit.
+        """
+        with self._lock:
+            replaced = (self._executor is broken
+                        and not self._shutting_down)
+            if replaced:
+                self._retired_pools.append(broken)
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    mp_context=multiprocessing.get_context("spawn"),
+                )
+            executor = self._executor
+        if replaced:
+            self.recorder.count("service/pool-replacements")
+            log.warning("replaced the worker pool a dead worker broke")
+        return executor
+
+    def _on_job_finished(self, job, future, executor):
         # Runs as a Future done-callback: any exception escaping here is
         # swallowed by the executor, so the try/finally guarantees the
         # job always reaches a terminal state (otherwise result --wait
         # clients would heartbeat forever).
         self.jobs.release(job)
+        if not future.cancelled() \
+                and isinstance(future.exception(), BrokenExecutor):
+            # A worker died under the job: the pool takes no more jobs,
+            # so this shard reports no idle worker until it is replaced.
+            with self._lock:
+                if self._executor is executor:
+                    self._broken_pool = executor
         try:
             self._finalize_job(job, future)
         finally:
@@ -851,9 +914,11 @@ class CecServer:
 
     def idle_workers(self):
         """Workers not taken by an admitted, unfinished job (0 while
-        draining). The router offloads a miss from a busy home shard
+        draining, and while a pool that a dead worker broke awaits
+        replacement). The router offloads a miss from a busy home shard
         to a peer that reports one."""
-        if self._shutting_down:
+        if self._shutting_down or (self._broken_pool is not None
+                                   and self._broken_pool is self._executor):
             return 0
         return max(0, max(self.workers, 1) - self.jobs.pending())
 

@@ -14,12 +14,14 @@ Each test here fails on the pre-fix code:
   primary input, including structurally irrelevant (dangling) ones.
 """
 
+import pytest
+
 from repro.aig import AIG, build_miter
 from repro.core.cec import check_equivalence
 from repro.core.fraig import SweepOptions
 from repro.proof.checker import check_proof
 from repro.proof.store import ProofStore
-from repro.sat.solver import SAT, UNSAT, Solver
+from repro.sat.solver import SAT, UNSAT, Solver, propagate_kernel
 
 
 class TestTautologyHandling:
@@ -55,6 +57,14 @@ class TestTautologyHandling:
         assert result.status is SAT
 
 
+#: Clause refs exist only with the C search: without it, Solver is
+#: ReferenceSolver, which stores clause records.
+arena_only = pytest.mark.skipif(
+    propagate_kernel() != "native",
+    reason="Solver is ReferenceSolver without the C search",
+)
+
+
 class TestUnitLearntReason:
     @staticmethod
     def _force_unit_learnt(proof=None):
@@ -65,6 +75,7 @@ class TestUnitLearntReason:
         assert result.status is SAT
         return solver
 
+    @arena_only
     def test_unit_learnt_reason_is_the_recorded_clause(self):
         # Deciding -1 propagates 2 and conflicts on (1 -2); analysis
         # learns the unit (1), which is enqueued at level 0 and keeps
@@ -77,6 +88,7 @@ class TestUnitLearntReason:
         assert reason is not None
         assert solver.clause_is_learnt(reason) is True
 
+    @arena_only
     def test_unit_learnt_reason_carries_proof_id(self):
         store = ProofStore(validate=True)
         solver = self._force_unit_learnt(proof=store)

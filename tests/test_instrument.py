@@ -105,18 +105,24 @@ class TestSolverThroughputCounters:
     )
 
     @staticmethod
-    def _solved_recorder():
+    def _clauses():
+        """Pigeonhole: 6 pigeons, 5 holes."""
+        var = lambda p, h: p * 5 + h + 1
+        clauses = [[var(p, h) for h in range(5)] for p in range(6)]
+        for h in range(5):
+            for p1 in range(6):
+                for p2 in range(p1 + 1, 6):
+                    clauses.append([-var(p1, h), -var(p2, h)])
+        return clauses
+
+    @classmethod
+    def _solved_recorder(cls):
         from repro.sat.solver import UNSAT, Solver
 
         rec = Recorder()
         solver = Solver(recorder=rec, restart_base=1)
-        var = lambda p, h: p * 5 + h + 1
-        for p in range(6):
-            solver.add_clause([var(p, h) for h in range(5)])
-        for h in range(5):
-            for p1 in range(6):
-                for p2 in range(p1 + 1, 6):
-                    solver.add_clause([-var(p1, h), -var(p2, h)])
+        for clause in cls._clauses():
+            solver.add_clause(clause)
         assert solver.solve().status is UNSAT
         return rec, solver
 
@@ -130,6 +136,22 @@ class TestSolverThroughputCounters:
         assert counters["solver/learned"] == solver.stats.learned
         assert counters["solver/propagations"] == solver.stats.propagations
         assert counters["solver/restarts"] > 0
+
+    def test_reference_solver_records_the_same_counters(self):
+        # ReferenceSolver is Solver where the C search cannot be built,
+        # so its telemetry must be the same.
+        from repro.sat.reference import ReferenceSolver
+
+        rec, _ = self._solved_recorder()
+        ref_rec = Recorder()
+        reference = ReferenceSolver(recorder=ref_rec, restart_base=1)
+        for clause in self._clauses():
+            reference.add_clause(clause)
+        reference.solve()
+        counters = rec.report()["counters"]
+        ref_counters = ref_rec.report()["counters"]
+        for name in self.SOLVER_COUNTERS:
+            assert ref_counters[name] == counters[name], name
 
     def test_stats_cli_show_lists_throughput(self, tmp_path, capsys):
         from repro.instrument.stats_cli import main as stats_main

@@ -333,6 +333,27 @@ class TestTrajectoryIdentity:
         assert watched_proof == baseline_proof, \
             "trimmed proofs are not byte-identical under progress"
 
+    def test_reference_solver_ticks_progress(self):
+        # ReferenceSolver is Solver where the C search cannot be built:
+        # it must feed the tracker the same way.
+        from repro.sat.reference import ReferenceSolver
+
+        def ticks(cls):
+            recorder = Recorder()
+            docs = []
+            recorder.progress = ProgressTracker(
+                docs.append, interval_seconds=0.0, ticks_per_check=1,
+            )
+            solver = cls(recorder=recorder)
+            for clause in clauses_fixture:
+                solver.add_clause(clause)
+            assert solver.solve().status is UNSAT
+            return [doc["counters"] for doc in docs]
+
+        reference = ticks(ReferenceSolver)
+        assert reference
+        assert reference == ticks(Solver)
+
     def test_cec_sweep_proof_identical_with_progress(self):
         aig_a = ripple_carry_adder(4)
         aig_b = kogge_stone_adder(4)

@@ -1,11 +1,19 @@
 """Tests for the repro-sat command-line interface."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.cnf import CNF, write_dimacs
+from repro.instrument.recorder import validate_report
 from repro.proof import check_proof, parse_tracecheck
-from repro.sat.solver import Solver
+from repro.sat.reference import ReferenceSolver
+from repro.sat.solver import Solver, propagate_kernel
 from repro.sat_cli import build_parser, main
+
+ADD24_CNF = (Path(__file__).resolve().parent.parent / "examples" / "data"
+             / "add24_miter.cnf")
 
 
 @pytest.fixture
@@ -99,6 +107,21 @@ class TestAssumptions:
     def test_solver_rejects_literal_zero(self):
         with pytest.raises(ValueError, match="0 is not"):
             Solver().solve(assumptions=[0])
+
+    def test_reference_solver_rejects_literal_zero(self):
+        with pytest.raises(ValueError, match="0 is not"):
+            ReferenceSolver().solve(assumptions=[0])
+
+
+class TestStatsReport:
+    def test_report_names_the_search(self, tmp_path):
+        stats_path = tmp_path / "stats.json"
+        assert main([str(ADD24_CNF), "--stats-json", str(stats_path)]) == 20
+        report = validate_report(json.loads(stats_path.read_text()))
+        assert report["gauges"]["solver/kernel"] == propagate_kernel()
+        counters = report["counters"]
+        assert (counters["solver/restarts"], counters["solver/learned"],
+                counters["solver/deleted"]) == (9, 1580, 783)
 
 
 class TestProofOutput:

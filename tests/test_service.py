@@ -3,6 +3,7 @@
 import glob
 import io
 import json
+import multiprocessing
 import os
 import signal
 import socket
@@ -15,6 +16,7 @@ import pytest
 
 from repro import check_equivalence, cli
 from repro.aig.aiger import read_aag, write_aag
+from repro.circuits.benchmarks import by_name
 from repro.analyze.schemas import CACHE_META_SCHEMA, RESULT_SCHEMA
 from repro.circuits import (
     array_multiplier,
@@ -377,9 +379,12 @@ class TestServerEndToEnd:
             certify(result2)
 
     def test_queue_wait_runs_to_the_worker_start(self, server, adder_pair):
-        # One worker: the second job queues behind the first one's run.
-        slow = (aag_text(array_multiplier(4)),
-                aag_text(wallace_multiplier(4)))
+        # One worker: the second job queues behind the first one's run,
+        # which must outlast the second submit's round trip (mul04's
+        # 60 ms run did not always, with the worker thread holding the
+        # interpreter lock against the handler).
+        slow = (aag_text(array_multiplier(5)),
+                aag_text(wallace_multiplier(5)))
         with ServiceClient(server.address) as client:
             first = client.submit(*slow)["job"]
             second = client.submit(*adder_pair)["job"]
@@ -1030,6 +1035,58 @@ class TestTcpAndProcessPool:
             processes = getattr(server._executor, "_processes", None)
             if processes is not None:  # CPython implementation detail
                 assert len(processes) == 2
+        finally:
+            server.close()
+
+
+class TestWorkerCrash:
+    def test_killed_worker_costs_one_job_not_the_shard(self, tmp_path):
+        # A worker SIGKILLed under a job breaks the process pool. The
+        # job ends worker-failed; the next miss runs on a replacement
+        # pool instead of being refused as shutting-down.
+        before = {child.pid for child in multiprocessing.active_children()}
+        server = CecServer(str(tmp_path / "w.sock"), workers=1,
+                           cache_dir=str(tmp_path / "cache"),
+                           progress_interval=0.01)
+        server.start()
+        try:
+            [worker] = [child for child in multiprocessing.active_children()
+                        if child.pid not in before]
+            # About a second of search, so the kill lands mid-job.
+            slow = (array_multiplier(6), wallace_multiplier(6))
+            fast = by_name("add08").build()
+            with ServiceClient(server.address) as client:
+                job = client.submit(*map(aag_text, slow))["job"]
+                deadline = time.monotonic() + 60
+                while client.progress(job)["progress"] is None:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                os.kill(worker.pid, signal.SIGKILL)
+                with pytest.raises(ServiceError) as failed:
+                    client.result(job, wait=True)
+                assert failed.value.code == protocol.ERR_WORKER_FAILED
+                assert "BrokenProcessPool" in str(failed.value)
+                assert server.idle_workers() == 0  # broken: no offloads
+                result, response = client.check(*map(aag_text, fast))
+                assert response["verdict"] == "equivalent"
+                certify(result, pair=fast)
+                stats = client.stats()
+            assert stats["counters"]["service/pool-replacements"] == 1
+            assert server.idle_workers() == 1
+        finally:
+            server.close()
+
+    def test_a_pool_shut_down_by_the_server_still_refuses(
+            self, tmp_path, adder_pair):
+        server = CecServer(str(tmp_path / "s.sock"), workers=1)
+        try:
+            server._executor.shutdown(wait=True)
+            response = server._submit(
+                {"aag_a": adder_pair[0], "aag_b": adder_pair[1]},
+                cache_only=False,
+            )
+            assert response["error"]["code"] == protocol.ERR_SHUTTING_DOWN
+            assert server.recorder.counter("service/pool-replacements") == 0
         finally:
             server.close()
 

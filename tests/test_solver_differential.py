@@ -1,27 +1,33 @@
 """Differential tests: flat-arena ``Solver`` vs. ``ReferenceSolver``.
 
-The cache-conscious rewrite must be *trajectory-identical* to the
-retained pre-rewrite implementation: same decisions, same propagation
-order, same learned clauses, and therefore byte-identical trimmed
-resolution proofs. These tests drive both solvers over a deterministic
-corpus — adder/comparator miters, non-equivalent mutants, the proof
-corpus's base formula, assumption solves, a long-clause watch-migration
-cascade, the committed add24 miter (also at a fast decay that rescales
-activities mid-search), and whole sweeps, whose many assumption calls
-share one incremental instance — and assert verdict, model, statistics,
-and proof equality, plus ``check_proof`` replay of every refutation.
-The add24 solve is also pinned to its committed statistics fingerprint
-and to the committed trimmed proof ``examples/data/add24_miter.tc``,
-byte for byte. After each sweep the solver's branching heap is checked
-to hold exactly one current entry per live variable and at most three
-entries per variable in all.
+The arena solver, whose search runs in C (``propagate.c``), must be
+*trajectory-identical* to the Python ``ReferenceSolver``: same
+decisions, same propagation order, same learned clauses, and therefore
+byte-identical trimmed resolution proofs. These tests drive both solvers
+over a deterministic corpus — adder/comparator miters, non-equivalent
+mutants, the proof corpus's base formula, assumption solves, a
+long-clause watch-migration cascade, the committed add24 miter (also at
+fast variable and clause decays that rescale activities mid-search), and
+whole sweeps, whose many assumption calls share one incremental instance
+— and assert verdict, model, every statistics field, and proof equality,
+plus ``check_proof`` replay of every refutation and a check of every
+model against its clauses. The add24 solve is also pinned to its
+committed statistics fingerprint and to the committed trimmed proof
+``examples/data/add24_miter.tc``, byte for byte; each sweep is compared
+at every solve call and pinned to its trimmed proof's digest, and
+afterwards its branching heap must hold exactly one current entry per
+live variable and at most three entries per variable in all.
 
-Every test runs on both unit-propagation paths: the classes as written
-use ``Solver._propagate`` (the native kernel wherever it builds), and
-their ``...Python`` subclasses at the end of the module force
-``Solver._propagate_python``.
+Every test runs on both searches: the classes as written test
+``Solver`` (the C search wherever it builds), and their ``...Python``
+subclasses at the end of the module test ``ReferenceSolver``, which is
+``Solver`` on a host that cannot build the C search, against the same
+pinned fingerprints, proofs and models.
 """
 
+import hashlib
+import math
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -40,7 +46,7 @@ from repro.proof import ProofStore, check_proof
 from repro.proof.tracecheck import dumps_tracecheck
 from repro.proof.trim import trim
 from repro.sat.reference import ReferenceSolver
-from repro.sat.solver import SAT, UNSAT, Solver
+from repro.sat.solver import SAT, UNKNOWN, UNSAT, Solver
 
 DATA = Path(__file__).resolve().parent.parent / "examples" / "data"
 ADD24_CNF = DATA / "add24_miter.cnf"
@@ -55,6 +61,7 @@ ADD24_STATS = {
     "restarts": 9,
     "learned": 1580,
     "deleted": 783,
+    "minimized_literals": 2070,
 }
 
 
@@ -107,20 +114,35 @@ def run_solver(cls, clauses, assumptions=(), proof=False, **solver_kwargs):
         # monolithic baseline): the formula is UNSAT.
         outcome["status"] = UNSAT
     outcome["stats"] = solver.stats
+    outcome["solver"] = solver
     return outcome
+
+
+def assert_satisfies(model, clauses):
+    """Every clause has a literal the model (a 0/1 tuple) makes true."""
+    for clause in clauses:
+        assert any(model[abs(lit) - 1] == (lit > 0) for lit in clause), \
+            "model falsifies %r" % (clause,)
 
 
 def assert_identical(clauses, assumptions=(), proof=False, axioms=None,
                      **solver_kwargs):
+    """Run ``Solver`` (the search under test) and ``ReferenceSolver``;
+    when they are one class, the single run is checked on its own."""
     new = run_solver(Solver, clauses, assumptions, proof, **solver_kwargs)
-    ref = run_solver(ReferenceSolver, clauses, assumptions, proof,
-                     **solver_kwargs)
+    ref = new if Solver is ReferenceSolver else run_solver(
+        ReferenceSolver, clauses, assumptions, proof, **solver_kwargs)
+    if Solver is not ReferenceSolver and new["alive"]:
+        assert_invariants(new["solver"])
     assert new["alive"] == ref["alive"]
     assert new["status"] == ref["status"]
     assert new["model"] == ref["model"]
     assert new["final"] == ref["final"]
-    assert repr(new["stats"]) == repr(ref["stats"]), \
-        "trajectory diverged: %s vs %s" % (new["stats"], ref["stats"])
+    assert vars(new["stats"]) == vars(ref["stats"]), \
+        "trajectory diverged: %s vs %s" % (vars(new["stats"]),
+                                           vars(ref["stats"]))
+    if new["status"] is SAT and not assumptions:
+        assert_satisfies(new["model"], clauses)
     if proof and new["status"] is UNSAT and not assumptions:
         new_trim, _ = trim(new["store"])
         ref_trim, _ = trim(ref["store"])
@@ -131,6 +153,15 @@ def assert_identical(clauses, assumptions=(), proof=False, axioms=None,
         check_proof(new_trim, axioms=replay_axioms)
         check_proof(ref_trim, axioms=replay_axioms)
     return new, ref
+
+
+def rescales(solver, decay, inc, scale):
+    """How often a run scaled the increment *inc* (grown by ``1/decay``
+    per analysed conflict, one per learnt clause) by *scale*."""
+    grown = solver.stats.learned * math.log10(1 / decay)
+    count = (grown - math.log10(getattr(solver, inc))) / -math.log10(scale)
+    assert abs(count - round(count)) < 1e-6, count
+    return round(count)
 
 
 class TestEquivalentMiters:
@@ -151,23 +182,29 @@ class TestEquivalentMiters:
             == ADD24_STATS
         assert new["tracecheck"] == ADD24_TC.read_text()
 
-    def test_add24_with_activity_rescales(self, monkeypatch):
+    def test_add24_with_activity_rescales(self):
         # Decay 0.5 doubles the bump increment per conflict, so the 1e100
         # activity limit is crossed twice within the 965 conflicts.
-        rescales = []
-        rescale = Solver._rescale_activity
-
-        def counted(solver):
-            rescales.append(solver.stats.conflicts)
-            return rescale(solver)
-
-        monkeypatch.setattr(Solver, "_rescale_activity", counted)
         cnf = read_dimacs(str(ADD24_CNF))
         new, _ = assert_identical(list(cnf.clauses), proof=True,
                                   var_decay=0.5)
         assert new["status"] is UNSAT
         assert new["stats"].conflicts == 965
-        assert len(rescales) == 2
+        solver = new["solver"]
+        assert rescales(solver, 0.5, "_var_inc", 1e-100) == 2
+        assert rescales(solver, 0.999, "_cla_inc", 1e-20) == 0
+
+    def test_add24_with_clause_activity_rescales(self):
+        # Clause decay 0.5 crosses the 1e20 clause-activity limit 21
+        # times within the 1457 conflicts.
+        cnf = read_dimacs(str(ADD24_CNF))
+        new, _ = assert_identical(list(cnf.clauses), proof=True,
+                                  clause_decay=0.5)
+        assert new["status"] is UNSAT
+        assert new["stats"].conflicts == 1457
+        solver = new["solver"]
+        assert rescales(solver, 0.5, "_cla_inc", 1e-20) == 21
+        assert rescales(solver, 0.95, "_var_inc", 1e-100) == 0
 
 
 class TestNonEquivalentMutants:
@@ -237,7 +274,7 @@ class TestAssumptionSolves:
         # UNSAT verdict and must agree on the final conflict clause.
         for assumption in ([1], [-1], [1, 2]):
             new, ref = assert_identical(clauses, assumptions=assumption)
-            assert new["status"] == ref["status"]
+            assert new["status"] is ref["status"] is UNSAT
 
     def test_conflict_budget_agreement(self):
         clauses = miter_clauses(ripple_carry_adder(8), kogge_stone_adder(8))
@@ -247,9 +284,12 @@ class TestAssumptionSolves:
             for clause in clauses:
                 solver.add_clause(clause)
             result = solver.solve(max_conflicts=20)
-            return result.status, repr(solver.stats)
+            return result.status, vars(solver.stats)
 
-        assert run(Solver) == run(ReferenceSolver)
+        status, stats = run(Solver)
+        assert (status, stats) == run(ReferenceSolver)
+        assert status is UNKNOWN
+        assert stats["conflicts"] == 20
 
 
 def assert_heap_bounded(solver):
@@ -266,48 +306,148 @@ def assert_heap_bounded(solver):
     assert len(solver._heap) <= 3 * solver.num_vars
 
 
+#: Per sweep: SAT calls and the sha256 prefix of the trimmed proof.
+SWEEPS = {
+    "sadd12": (243, "edaf74fd6ce5c20c"),
+    "add24": (219, "50e3a870cbc7180d"),
+    "rpop12": (148, "dc3d76f749e4bffc"),
+    "mul04": (28, "9d8cf7ffecbbd543"),
+}
+
+
+def assert_invariants(solver):
+    """The C-backed state between solve calls."""
+    arena = solver._arena
+    expected = Counter()
+    for ref in solver._clauses + solver._learnts:
+        size = arena[ref] >> 1
+        for lit in arena[ref + 1:ref + 1 + min(size, 2)]:
+            expected[lit, ref] += 1
+    watched = Counter()
+    for lit, ws in enumerate(solver._watches):
+        for i in range(0, len(ws), 2):
+            watched[lit, ws[i]] += 1
+    assert watched == expected, "a live clause lost a watch"
+    assert_heap_bounded(solver)
+    assert not any(solver._seen)
+
+
+def recording(cls, log, solvers):
+    """*cls* that logs what each solve call leaves observable, and
+    checks the invariants of the C-backed state after it."""
+
+    class Recording(cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            solvers.append(self)
+
+        def solve(self, *args, **kwargs):
+            result = super().solve(*args, **kwargs)
+            model = None
+            if result.status is SAT:
+                model = tuple(result.model_value(var)
+                              for var in range(1, self.num_vars + 1))
+            log.append({
+                "status": result.status,
+                "model": model,
+                "final": result.final_clause,
+                "stats": dict(vars(self.stats)),
+                "proof_length": len(self.proof),
+            })
+            if cls is not ReferenceSolver:
+                assert_invariants(self)
+            return result
+
+    return Recording
+
+
+def drive(cls, clauses, calls):
+    """Load *clauses* into a proof-logging *cls* and solve under each
+    assumption list of *calls*; returns the call log and the solver."""
+    log, solvers = [], []
+    solver = recording(cls, log, solvers)(proof=ProofStore())
+    if all(solver.add_clause(clause) for clause in clauses):
+        for assumptions in calls:
+            solver.solve(assumptions=assumptions)
+    return log, solver
+
+
+def sweep(cls, name, monkeypatch):
+    """Check the suite pair *name* with *cls* as the sweep's solver;
+    returns the call log, the solver and the check's result."""
+    log, solvers = [], []
+    with monkeypatch.context() as patch:
+        patch.setattr(fraig, "Solver", recording(cls, log, solvers))
+        result = check_equivalence(*by_name(name).build())
+    assert result.equivalent is True
+    assert solvers == [result.engine.solver]
+    return log, result.engine.solver, result
+
+
+def assert_same_search(run):
+    """``run(cls)``, which returns the call log and the solver first,
+    leaves the same state at every solve-call boundary with ``Solver``
+    and with ReferenceSolver; returns the ``Solver`` run's result.
+
+    The proof store only grows, so equal lengths at each boundary and
+    equal contents at the end make every boundary's store equal.
+    """
+    c_side, py_side = run(Solver), run(ReferenceSolver)
+    (c_log, c_solver), (py_log, py_solver) = c_side[:2], py_side[:2]
+    assert len(c_log) == len(py_log)
+    for call, (got, want) in enumerate(zip(c_log, py_log)):
+        assert got == want, "solve call %d diverged" % call
+    assert c_solver.proof.tables() == py_solver.proof.tables()
+    assert vars(c_solver.stats) == vars(py_solver.stats)
+    return c_side
+
+
 class TestSweepSolves:
     """A whole sweep: many assumption calls on one incremental instance,
     with lemma clauses added between them, so heap state carries over."""
 
-    @pytest.mark.parametrize("name", ["sadd12", "add24", "rpop12", "mul04"])
+    @pytest.mark.parametrize("name", sorted(SWEEPS))
     def test_sweep_matches_reference(self, name, monkeypatch):
-        new = check_equivalence(*by_name(name).build())
-        assert_heap_bounded(new.engine.solver)
-        monkeypatch.setattr(fraig, "Solver", ReferenceSolver)
-        ref = check_equivalence(*by_name(name).build())
-        assert isinstance(ref.engine.solver, ReferenceSolver)
-        assert new.equivalent is True and ref.equivalent is True
-        assert repr(new.engine.solver.stats) == repr(ref.engine.solver.stats)
-        assert new.engine.stats.sat_calls == ref.engine.stats.sat_calls
-        assert dumps_tracecheck(trim(new.proof)[0]) \
-            == dumps_tracecheck(trim(ref.proof)[0])
+        def run(cls):
+            return sweep(cls, name, monkeypatch)
+
+        if Solver is ReferenceSolver:
+            log, solver, result = run(Solver)
+        else:  # compared call by call, heap bounded after each
+            log, solver, result = assert_same_search(run)
+        assert vars(solver.stats) == log[-1]["stats"]
+        sat_calls, digest = SWEEPS[name]
+        assert result.engine.stats.sat_calls == len(log) == sat_calls
+        text = dumps_tracecheck(trim(result.proof)[0])
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
 
 
-class PythonPropagate:
-    """Mixin: run the inherited tests on ``Solver._propagate_python``."""
+class PythonSearch:
+    """Mixin: run the inherited tests with ``Solver`` as a host without
+    the C search has it, the Python ``ReferenceSolver``."""
 
     @pytest.fixture(autouse=True)
-    def python_propagate(self, monkeypatch):
-        monkeypatch.setattr(Solver, "_propagate", Solver._propagate_python)
+    def python_search(self, monkeypatch):
+        monkeypatch.setattr(sys.modules[__name__], "Solver",
+                            ReferenceSolver)
 
 
-class TestEquivalentMitersPython(PythonPropagate, TestEquivalentMiters):
+class TestEquivalentMitersPython(PythonSearch, TestEquivalentMiters):
     pass
 
 
-class TestNonEquivalentMutantsPython(PythonPropagate,
+class TestNonEquivalentMutantsPython(PythonSearch,
                                      TestNonEquivalentMutants):
     pass
 
 
-class TestProofCorpusInputsPython(PythonPropagate, TestProofCorpusInputs):
+class TestProofCorpusInputsPython(PythonSearch, TestProofCorpusInputs):
     pass
 
 
-class TestAssumptionSolvesPython(PythonPropagate, TestAssumptionSolves):
+class TestAssumptionSolvesPython(PythonSearch, TestAssumptionSolves):
     pass
 
 
-class TestSweepSolvesPython(PythonPropagate, TestSweepSolves):
+class TestSweepSolvesPython(PythonSearch, TestSweepSolves):
     pass

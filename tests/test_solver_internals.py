@@ -2,8 +2,18 @@
 
 import random
 
+import pytest
+
 from repro.proof import ProofStore, check_proof
 from repro.sat import SAT, UNSAT, Solver
+from repro.sat.solver import propagate_kernel
+
+#: The clause arena exists only with the C search: without it, Solver
+#: is ReferenceSolver, which stores clause records.
+arena_only = pytest.mark.skipif(
+    propagate_kernel() != "native",
+    reason="Solver is ReferenceSolver without the C search",
+)
 
 
 class TestVariableManagement:
@@ -105,6 +115,7 @@ class TestLearnedClauseDatabase:
         assert solver.solve().status is UNSAT
         assert solver.stats.deleted > 0
 
+    @arena_only
     def test_binary_learned_clauses_never_deleted(self):
         solver = Solver()
         solver._max_learnts = 0
@@ -161,6 +172,7 @@ class TestActivityHeap:
         assert solver._pick_branch_var() == 4
 
 
+@arena_only
 class TestClauseArena:
     def test_accessors_roundtrip(self):
         solver = Solver()
