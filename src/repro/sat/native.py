@@ -1,8 +1,10 @@
-"""Build and load the C search kernel (``propagate.c``).
+"""Build and load the solver core (``propagate.c``).
 
-:func:`load` compiles ``propagate.c`` into a CPython extension the first
-time any process imports :mod:`repro.sat.solver` from a checkout, and
-loads it from then on:
+``propagate.c`` defines ``Core``, the C type that
+:class:`repro.sat.solver.Solver` subclasses: it owns the solver state as
+C arrays and runs clause loading and whole solve calls.  :func:`load`
+compiles it into a CPython extension the first time any process imports
+:mod:`repro.sat.solver` from a checkout, and loads it from then on:
 
 * The compiler is the interpreter's own (``sysconfig``'s ``CC``,
   ``CCSHARED``, ``LDSHARED`` and include directory) and runs in a child
@@ -48,7 +50,7 @@ COMPILE_TIMEOUT_S = 300
 
 
 def load():
-    """The compiled kernel module, built first if need be, else None.
+    """The compiled core module, built first if need be, else None.
 
     Never raises: the solver must import whatever goes wrong here, so
     any failure is one warning on the ``repro.sat`` logger and a None

@@ -8,8 +8,9 @@ roles:
 * **The oracle.**  The differential tests
   (``tests/test_solver_differential.py``,
   ``tests/test_propagate_kernel.py``) assert that the arena solver, whose
-  search runs in C (``propagate.c``), reproduces this solver's verdicts,
-  models, statistics, learnt clauses and resolution chains bit for bit.
+  state and search live in C (``propagate.c``), reproduces this solver's
+  verdicts, models, statistics, learnt clauses and resolution chains bit
+  for bit.
 * **The fallback.**  Where the C search cannot be built,
   ``repro.sat.solver.Solver`` *is* this class, so it serves production
   use: it validates assumptions, ticks live progress and records the
@@ -304,10 +305,15 @@ class ReferenceSolver:
         Returns:
             True when the solver is still consistent, False when adding
             this clause (at level 0) produced the empty clause.
+
+        Raises:
+            ValueError: a literal is 0.
         """
         if self._unsat:
             return False
         unique = set(lits)
+        if 0 in unique:
+            raise ValueError("literal 0 is not allowed in a clause")
         if any(-lit in unique for lit in unique):
             return True  # tautology: satisfied everywhere, skip
         clause = sorted(unique)

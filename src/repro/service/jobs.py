@@ -66,6 +66,8 @@ class Job:
             server, which uses it to assemble ``job_stats``/``trace``.
         span_id: span id of the job's root ``service/job`` span — the
             parent the worker's top-level phases attach under.
+        payload: the worker request while the job is in the pool, kept
+            so that a job a broken pool never started can run again.
     """
 
     def __init__(self, job_id, key=None):
@@ -85,6 +87,7 @@ class Job:
         self.progress_path = None
         self.progress = None
         self.future = None
+        self.payload = None
         self.submitted_at = time.time()
         self.started_at = None
         self.finished_at = None
@@ -225,6 +228,11 @@ class JobTable:
         while self._queued and \
                 self._pending - len(self._queued) < self.workers:
             self._queued.popleft().state = RUNNING
+
+    def queued(self):
+        """The admitted jobs no worker runs yet, oldest first."""
+        with self._lock:
+            return list(self._queued)
 
     def note_terminal(self, job):
         """Record that *job* reached a terminal state; evict the oldest

@@ -14,8 +14,9 @@ cache lookups, and wait on job events. All solving happens in the
 worker pool (``workers >= 1``: separate processes; ``workers == 0``:
 one in-process thread, for tests and platforms without ``fork``). A
 worker that dies breaks the process pool; the next submit replaces it
-(counted as ``service/pool-replacements``), so a crash costs the job it
-killed, not the shard.
+(counted as ``service/pool-replacements``), and the jobs queued behind
+the one it killed run on the new pool, so a crash costs that one job,
+not the shard.
 Shared state is the :class:`~repro.service.jobs.JobTable` (locked) and
 the server's :class:`~repro.instrument.Recorder` (thread-safe), which
 aggregates per-job timings into server-level throughput and hit-rate
@@ -200,6 +201,7 @@ class CecServer:
         self._executor = None
         self._broken_pool = None   # the pool a dead worker broke
         self._retired_pools = []   # replaced pools, reaped in close()
+        self._unstarted = {}       # broken pool -> ids of jobs it queued
         self._server = None
         self._metrics_http = None
         try:
@@ -494,6 +496,7 @@ class CecServer:
             "progress_path": job.progress_path,
             "progress_interval": self.progress_interval,
         }
+        job.payload = payload
         try:
             executor, job.future = self._submit_to_pool(payload)
         except RuntimeError as exc:  # pool shut down with the server
@@ -565,14 +568,25 @@ class CecServer:
         # swallowed by the executor, so the try/finally guarantees the
         # job always reaches a terminal state (otherwise result --wait
         # clients would heartbeat forever).
-        self.jobs.release(job)
         if not future.cancelled() \
                 and isinstance(future.exception(), BrokenExecutor):
-            # A worker died under the job: the pool takes no more jobs,
+            # A worker died under a job: the pool takes no more jobs,
             # so this shard reports no idle worker until it is replaced.
+            # The pool fails every job it held; those the table still
+            # had queued when the first of them came back never started
+            # (taken before any release promotes one) and run again.
             with self._lock:
                 if self._executor is executor:
                     self._broken_pool = executor
+                if executor not in self._unstarted:
+                    self._unstarted[executor] = {
+                        queued.id for queued in self.jobs.queued()
+                    }
+                unstarted = job.id in self._unstarted[executor]
+            if unstarted and self._resubmit(job):
+                return
+        job.payload = None
+        self.jobs.release(job)
         try:
             self._finalize_job(job, future)
         finally:
@@ -590,6 +604,21 @@ class CecServer:
                     extra={"job_id": job.id,
                            "trace_id": _trace_id_of(job)},
                 )
+
+    def _resubmit(self, job):
+        """Run *job*, which a broken pool never started, on its
+        replacement; False when the server is shutting down."""
+        try:
+            executor, job.future = self._submit_to_pool(job.payload)
+        except RuntimeError:
+            return False
+        job.future.add_done_callback(
+            lambda future, job=job, executor=executor:
+            self._on_job_finished(job, future, executor)
+        )
+        log.warning("job %s resubmitted: its worker pool broke before it "
+                    "started", job.id, extra={"job_id": job.id})
+        return True
 
     def _finalize_job(self, job, future):
         if future.cancelled():

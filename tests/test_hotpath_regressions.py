@@ -4,7 +4,8 @@ Each test here fails on the pre-fix code:
 
 * ``Solver.add_clause`` used an O(n^2) list-membership tautology scan
   and allocated variables for a prefix of a tautological clause before
-  bailing out.
+  bailing out; and both solvers read a clause with literal 0 as a
+  tautology (``-0 == 0``) and dropped it without a word.
 * ``Solver._record_learnt`` enqueued unit learned clauses with a
   throwaway duplicate ``_Clause`` as the reason instead of the recorded
   clause itself.
@@ -21,6 +22,7 @@ from repro.core.cec import check_equivalence
 from repro.core.fraig import SweepOptions
 from repro.proof.checker import check_proof
 from repro.proof.store import ProofStore
+from repro.sat.reference import ReferenceSolver
 from repro.sat.solver import SAT, UNSAT, Solver, propagate_kernel
 
 
@@ -55,6 +57,29 @@ class TestTautologyHandling:
         assert len(solver._clauses) == 1
         result = solver.solve()
         assert result.status is SAT
+
+
+class TestLiteralZero:
+    """A clause with literal 0 is refused, as ``normalize_clause``,
+    ``ProofStore.add_axiom`` and ``solve(assumptions=[0])`` refuse it,
+    instead of reading as a tautology (``-0 == 0``) and vanishing."""
+
+    @pytest.mark.parametrize("logging", [False, True],
+                             ids=["plain", "proof"])
+    @pytest.mark.parametrize("cls", [Solver, ReferenceSolver],
+                             ids=["Solver", "ReferenceSolver"])
+    def test_literal_zero_raises(self, cls, logging):
+        store = ProofStore() if logging else None
+        solver = cls(proof=store)
+        with pytest.raises(ValueError, match="literal 0"):
+            solver.add_clause([0, 1])
+        assert solver.num_vars == 0
+        if store is not None:
+            assert len(store) == 0
+        # The solver is untouched and still usable.
+        assert solver.add_clause([-1]) is True
+        result = solver.solve()
+        assert result.status is SAT and result.model_value(1) == 0
 
 
 #: Clause refs exist only with the C search: without it, Solver is

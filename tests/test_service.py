@@ -378,16 +378,17 @@ class TestServerEndToEnd:
             assert response2["result"] == response["result"]
             certify(result2)
 
-    def test_queue_wait_runs_to_the_worker_start(self, server, adder_pair):
-        # One worker: the second job queues behind the first one's run,
-        # which must outlast the second submit's round trip (mul04's
-        # 60 ms run did not always, with the worker thread holding the
-        # interpreter lock against the handler).
-        slow = (aag_text(array_multiplier(5)),
-                aag_text(wallace_multiplier(5)))
+    def test_queue_wait_runs_to_the_worker_start(self, server, adder_pair,
+                                                 big_pair, gate):
+        # One worker: the second job queues behind the first one, which
+        # the gate holds for a fixed time before it runs, so the second
+        # job's wait does not depend on how fast the first one solves.
+        gate.clear()
         with ServiceClient(server.address) as client:
-            first = client.submit(*slow)["job"]
+            first = client.submit(*big_pair)["job"]
             second = client.submit(*adder_pair)["job"]
+            time.sleep(0.2)
+            gate.set()
             client.result(first, wait=True)
             response = client.result(second, wait=True)
         job = server.jobs.get(first)
@@ -737,17 +738,20 @@ class TestCacheVerbs:
 
 
 class TestQueueLimits:
-    def test_queue_full_is_structured(self, tmp_path, adder_pair, big_pair):
+    def test_queue_full_is_structured(self, tmp_path, adder_pair, big_pair,
+                                      gate):
         server = CecServer(
             str(tmp_path / "q.sock"), workers=0, queue_limit=1,
         )
         server.start()
         try:
             with ServiceClient(server.address) as client:
+                gate.clear()  # the first job holds the one slot
                 slow = client.submit(*big_pair, time_limit=2.0)
                 with pytest.raises(ServiceError) as excinfo:
                     client.submit(*adder_pair)
                 assert excinfo.value.code == "queue-full"
+                gate.set()
                 # The slow job still completes normally.
                 response = client.result(slow["job"], wait=True)
                 assert response["state"] == "done"
@@ -1053,7 +1057,7 @@ class TestWorkerCrash:
             [worker] = [child for child in multiprocessing.active_children()
                         if child.pid not in before]
             # About a second of search, so the kill lands mid-job.
-            slow = (array_multiplier(6), wallace_multiplier(6))
+            slow = (array_multiplier(7), wallace_multiplier(7))
             fast = by_name("add08").build()
             with ServiceClient(server.address) as client:
                 job = client.submit(*map(aag_text, slow))["job"]
@@ -1073,6 +1077,42 @@ class TestWorkerCrash:
                 stats = client.stats()
             assert stats["counters"]["service/pool-replacements"] == 1
             assert server.idle_workers() == 1
+        finally:
+            server.close()
+
+    def test_jobs_queued_behind_a_killed_worker_run_on_the_new_pool(
+            self, tmp_path):
+        # The dead worker's pool fails every job it held; add08, queued
+        # behind the killed job, never started and runs on the
+        # replacement pool instead of failing with it.
+        before = {child.pid for child in multiprocessing.active_children()}
+        server = CecServer(str(tmp_path / "q.sock"), workers=1,
+                           progress_interval=0.01)
+        server.start()
+        try:
+            [worker] = [child for child in multiprocessing.active_children()
+                        if child.pid not in before]
+            slow = (array_multiplier(7), wallace_multiplier(7))
+            fast = by_name("add08").build()
+            with ServiceClient(server.address) as client:
+                killed = client.submit(*map(aag_text, slow))["job"]
+                queued = client.submit(*map(aag_text, fast))
+                assert queued["state"] == "queued"
+                deadline = time.monotonic() + 60
+                while client.progress(killed)["progress"] is None:
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+                os.kill(worker.pid, signal.SIGKILL)
+                with pytest.raises(ServiceError) as failed:
+                    client.result(killed, wait=True)
+                assert failed.value.code == protocol.ERR_WORKER_FAILED
+                response = client.result(queued["job"], wait=True)
+                assert response["state"] == "done"
+                assert response["verdict"] == "equivalent"
+                certify(result_from_dict(response["result"]), pair=fast)
+                stats = client.stats()
+            assert stats["counters"]["service/pool-replacements"] == 1
+            assert stats["counters"]["service/jobs-failed"] == 1
         finally:
             server.close()
 

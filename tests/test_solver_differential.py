@@ -206,6 +206,16 @@ class TestEquivalentMiters:
         assert rescales(solver, 0.5, "_cla_inc", 1e-20) == 21
         assert rescales(solver, 0.95, "_var_inc", 1e-100) == 0
 
+    def test_add24_with_clause_activity_ties(self):
+        # Clause decay 1.0 keeps the clause increment at 1, so learnt
+        # clauses tie on activity and reduction's stable sort decides
+        # which of them are deleted.
+        cnf = read_dimacs(str(ADD24_CNF))
+        new, _ = assert_identical(list(cnf.clauses), proof=True,
+                                  clause_decay=1.0)
+        assert new["status"] is UNSAT
+        assert new["stats"].deleted > 0
+
 
 class TestNonEquivalentMutants:
     @pytest.mark.parametrize("width", [2, 4, 6])
@@ -316,17 +326,20 @@ SWEEPS = {
 
 
 def assert_invariants(solver):
-    """The C-backed state between solve calls."""
-    arena = solver._arena
+    """The C-backed state between solve calls, read through its
+    snapshots: every live clause of two or more literals is watched by
+    its first two (a unit clause needs no watch), the heap is bounded
+    and no variable is left marked."""
     expected = Counter()
     for ref in solver._clauses + solver._learnts:
-        size = arena[ref] >> 1
-        for lit in arena[ref + 1:ref + 1 + min(size, 2)]:
-            expected[lit, ref] += 1
+        lits = solver.clause_lits(ref)
+        if len(lits) >= 2:
+            for lit in lits[:2]:
+                expected[ReferenceSolver._widx(lit), ref] += 1
     watched = Counter()
     for lit, ws in enumerate(solver._watches):
-        for i in range(0, len(ws), 2):
-            watched[lit, ws[i]] += 1
+        for ref in ws[0::2]:
+            watched[lit, ref] += 1
     assert watched == expected, "a live clause lost a watch"
     assert_heap_bounded(solver)
     assert not any(solver._seen)

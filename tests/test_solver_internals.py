@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.proof import ProofStore, check_proof
-from repro.sat import SAT, UNSAT, Solver
+from repro.sat import SAT, UNKNOWN, UNSAT, Solver
 from repro.sat.solver import propagate_kernel
 
 #: The clause arena exists only with the C search: without it, Solver
@@ -110,7 +110,6 @@ class TestLearnedClauseDatabase:
 
     def test_reduce_db_fires_and_stays_sound(self):
         solver = Solver()
-        solver._max_learnts = 0  # immediate pressure
         self._hard_instance(solver)
         assert solver.solve().status is UNSAT
         assert solver.stats.deleted > 0
@@ -118,7 +117,6 @@ class TestLearnedClauseDatabase:
     @arena_only
     def test_binary_learned_clauses_never_deleted(self):
         solver = Solver()
-        solver._max_learnts = 0
         self._hard_instance(solver)
         solver.solve()
         for ref in solver._learnts:
@@ -163,13 +161,18 @@ class TestRestarts:
 
 class TestActivityHeap:
     def test_decision_prefers_active_vars(self):
+        # Deciding -1, -2, -3 and -4 propagates 5 through (4 5) and
+        # conflicts on (4 -5): analysis bumps 4 and 5 and learns (4).
+        # Of the unassigned variables 5 is then the most active, so the
+        # next decision takes it before the lower-numbered 1, 2 and 3.
         solver = Solver()
-        solver.ensure_vars(5)
-        solver._activity[4] = 10.0
-        import heapq
-
-        heapq.heappush(solver._heap, (-10.0, 4))
-        assert solver._pick_branch_var() == 4
+        solver.add_clause([4, 5])
+        solver.add_clause([4, -5])
+        assert solver.solve(max_conflicts=1).status is UNKNOWN
+        assert solver.value(4) == 1
+        activity = solver._activity
+        assert activity[5] > max(activity[1:4])
+        assert solver._pick_branch_var() == 5
 
 
 @arena_only
@@ -214,29 +217,42 @@ class TestClauseArena:
         assert solver.clause_lits(unit_ref) == [-1]
 
     def test_arena_compaction_preserves_clauses(self):
+        # Two pigeonhole instances (6 pigeons, 5 holes), each guarded by
+        # its own variable.  Refuting the first under -1 deletes learnt
+        # clauses that lie before the second's clauses in the arena; the
+        # compaction during the second refutation moves those clauses
+        # down, and every problem clause keeps its literals, in order.
+        def guarded_php(guard, base):
+            var = lambda p, h: base + p * 5 + h + 1
+            clauses = [[var(p, h) for h in range(5)] for p in range(6)]
+            for h in range(5):
+                for p1 in range(6):
+                    for p2 in range(p1 + 1, 6):
+                        clauses.append([-var(p1, h), -var(p2, h)])
+            return [clause + [guard] for clause in clauses]
+
         solver = Solver()
-        solver._max_learnts = 0  # force clause deletion pressure
-        var = lambda p, h: p * 5 + h + 1
-        for p in range(6):
-            solver.add_clause([var(p, h) for h in range(5)])
-        for h in range(5):
-            for p1 in range(6):
-                for p2 in range(p1 + 1, 6):
-                    solver.add_clause([-var(p1, h), -var(p2, h)])
-        assert solver.solve().status is UNSAT
+        for clause in guarded_php(1, 2):
+            solver.add_clause(clause)
+        assert solver.solve(assumptions=[-1]).status is UNSAT
         assert solver.stats.deleted > 0
-        solver._compact_arena()
-        for ref in solver.clause_refs():
-            lits = solver.clause_lits(ref)
-            assert len(lits) == solver.clause_size(ref)
-            assert all(lit != 0 for lit in lits)
+        for clause in guarded_php(2, 32):
+            solver.add_clause(clause)
+        refs = solver.clause_refs()
+        clauses = [sorted(solver.clause_lits(ref)) for ref in refs]
+        assert solver.solve(assumptions=[-2]).status is UNSAT
+        moved = solver.clause_refs()
+        assert moved[:81] == refs[:81]
+        assert all(new < old for new, old in zip(moved[81:], refs[81:]))
+        assert [sorted(solver.clause_lits(ref)) for ref in moved] == clauses
+        for ref in moved:
+            assert len(solver.clause_lits(ref)) == solver.clause_size(ref)
 
 
 class TestProofIdsStability:
     def test_deleted_clause_proofs_remain_valid(self):
         store = ProofStore()
         solver = Solver(proof=store)
-        solver._max_learnts = 0
         var = lambda p, h: p * 5 + h + 1
         for p in range(6):
             solver.add_clause([var(p, h) for h in range(5)])
