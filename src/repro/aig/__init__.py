@@ -23,7 +23,7 @@ from .literal import (
     make_lit,
 )
 from .miter import Miter, build_miter, match_interfaces_by_name
-from .simulate import Simulator, random_equivalence_test, simulate_once
+from .simulate import Simulator, random_equivalence_test
 from .structhash import node_digests, pair_key, structural_hash
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "read_aag",
     "read_aig",
     "read_auto",
-    "simulate_once",
     "structural_hash",
     "write_aag",
     "write_aig",

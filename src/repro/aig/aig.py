@@ -93,10 +93,6 @@ class AIG:
         """Tuple of output names (empty string when unnamed)."""
         return tuple(self._output_names)
 
-    def is_input(self, var):
-        """True when *var* is a primary input."""
-        return 1 <= var <= self.num_inputs
-
     def is_and(self, var):
         """True when *var* is an AND node."""
         return self._fanin0[var] != _NO_FANIN

@@ -156,11 +156,6 @@ class Simulator:
         return [(p >> k) & 1 for p in self._patterns]
 
 
-def simulate_once(aig, input_values):
-    """Convenience single-pattern simulation returning output values."""
-    return aig.evaluate(input_values)
-
-
 def random_equivalence_test(aig_a, aig_b, rounds=256, seed=2007):
     """Cheap refutation test: simulate both AIGs on shared random patterns.
 

@@ -10,7 +10,7 @@ refute::
 
 Exit codes: 0 = proof valid, 1 = invalid, 2 = undecided (check
 abandoned under ``--time-limit``), 3 = invalid input (I/O or parse
-error).
+error, or a negative or NaN ``--time-limit``).
 """
 
 import sys
@@ -77,10 +77,14 @@ def build_parser():
 def main(argv=None):
     """CLI entry point."""
     args = build_parser().parse_args(argv)
+    try:
+        budget = Budget(time_limit=args.time_limit) \
+            if args.time_limit is not None else None
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_INVALID_INPUT
     recorder = Recorder()
     recorder.meta.update({"tool": "repro-checkproof", "trace": args.trace})
-    budget = Budget(time_limit=args.time_limit) \
-        if args.time_limit is not None else None
     try:
         code = _run(args, recorder, budget)
         recorder.meta["exit_code"] = code

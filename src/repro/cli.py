@@ -142,7 +142,8 @@ def main(argv=None):
 
     Exit codes: 0 = equivalent, 1 = not equivalent, 2 = undecided
     (budget exhausted or engine gave up), 3 = invalid input (missing or
-    malformed files, lint-rejected netlists, bad flag combinations).
+    malformed files, lint-rejected netlists, bad flag values or
+    combinations).
     """
     args = build_parser().parse_args(argv)
     if args.server:
@@ -154,6 +155,17 @@ def main(argv=None):
     except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID_INPUT
+    # Bad flag values are invalid input whichever engine runs.
+    try:
+        options = SweepOptions(sim_words=args.sim_words, seed=args.seed)
+        budget = None
+        if args.time_limit is not None or args.conflict_limit is not None:
+            budget = Budget(
+                time_limit=args.time_limit, conflict_limit=args.conflict_limit
+            )
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_INVALID_INPUT
     recorder = Recorder()
     recorder.meta.update({
         "tool": "repro-cec",
@@ -163,14 +175,9 @@ def main(argv=None):
     })
     if args.chrome_trace:
         recorder.start_trace()
-    budget = None
-    if args.time_limit is not None or args.conflict_limit is not None:
-        budget = Budget(
-            time_limit=args.time_limit, conflict_limit=args.conflict_limit
-        )
     try:
         with maybe_profile(args.profile):
-            code = _dispatch(aig_a, aig_b, args, recorder, budget)
+            code = _dispatch(aig_a, aig_b, args, options, recorder, budget)
         recorder.meta["exit_code"] = code
     finally:
         if args.stats_json:
@@ -208,6 +215,7 @@ def _run_remote(args):
     """Route the check through a running repro-serve (``--server``)."""
     from .core.serialize import ResultFormatError
     from .service.client import ServiceClient, ServiceError
+    from .service.protocol import ProtocolError
 
     unsupported = []
     if args.engine != "sweep":
@@ -262,6 +270,12 @@ def _run_remote(args):
             file=sys.stderr,
         )
         return EXIT_INVALID_INPUT
+    except ProtocolError as exc:
+        print(
+            "error: %s is not a CEC server: %s" % (args.server, exc),
+            file=sys.stderr,
+        )
+        return EXIT_INVALID_INPUT
     if args.chrome_trace:
         _write_chrome_trace(args.chrome_trace, response.get("trace"))
     if not args.quiet and response.get("cached"):
@@ -285,7 +299,7 @@ def _run_remote(args):
     )
 
 
-def _dispatch(aig_a, aig_b, args, recorder, budget):
+def _dispatch(aig_a, aig_b, args, options, recorder, budget):
     """Run the selected engine and report; returns the exit code."""
     if args.lint:
         code = _preflight_lint(aig_a, aig_b, args, recorder)
@@ -300,7 +314,6 @@ def _dispatch(aig_a, aig_b, args, recorder, budget):
             aig_a, aig_b, proof=True, recorder=recorder, budget=budget
         )
     else:
-        options = SweepOptions(sim_words=args.sim_words, seed=args.seed)
         if args.match_names:
             try:
                 aig_b = match_interfaces_by_name(aig_a, aig_b)

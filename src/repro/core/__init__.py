@@ -4,10 +4,8 @@ from .cec import CecResult, check_equivalence, verdict_name
 from .certify import CertificationError, certify
 from .fraig import SweepEngine, SweepOptions, SweepStats
 from .outputs import OutputVerdict, OutputsReport, check_outputs
-from .reduce import ReduceResult, certified_reduce, fraig_reduce
 from .serialize import RESULT_SCHEMA, ResultFormatError, result_from_dict, \
     result_to_dict
-from .witness import MinimizedWitness, minimize_counterexample
 from .stitch import EquivLemma, StitchError, StructuralStitcher, derive_subset
 
 __all__ = [
@@ -22,13 +20,8 @@ __all__ = [
     "OutputVerdict",
     "OutputsReport",
     "RESULT_SCHEMA",
-    "ReduceResult",
     "ResultFormatError",
     "check_outputs",
-    "MinimizedWitness",
-    "minimize_counterexample",
-    "certified_reduce",
-    "fraig_reduce",
     "certify",
     "check_equivalence",
     "derive_subset",

@@ -40,6 +40,7 @@ from ..aig.literal import FALSE, TRUE, lit_not_cond, lit_var
 from ..aig.simulate import Simulator
 from ..cnf.tseitin import tseitin_encode
 from ..instrument import NULL_RECORDER
+from ..instrument.budget import check_limit
 from ..proof.store import ProofStore
 from ..sat.solver import SAT, UNKNOWN, UNSAT, Solver
 from .stitch import EquivLemma, StitchError, StructuralStitcher
@@ -103,13 +104,7 @@ class SweepOptions:
                 raise ValueError(
                     "%s must be a non-negative int, got %r" % (name, value)
                 )
-        if max_conflicts is not None and (
-            not _is_int(max_conflicts) or max_conflicts < 0
-        ):
-            raise ValueError(
-                "max_conflicts must be None or a non-negative int, got %r"
-                % (max_conflicts,)
-            )
+        check_limit("max_conflicts", max_conflicts, int)
         for name, value in (("use_simulation", use_simulation),
                             ("proof", proof),
                             ("validate_proof", validate_proof)):

@@ -203,12 +203,6 @@ class StructuralStitcher:
             )
         return others[0]
 
-    def derive_const1(self, node, x, l1, l2, v1, v2):
-        """Derive ``(x,)``: node ≡ 1 because both reduced fanins are 1."""
-        _, _, c_o = self.defining[node]
-        steps = self._lemma_steps(-l1, v1) + self._lemma_steps(-l2, v2)
-        return derive_subset(self.store, (x,), c_o, steps)
-
     def derive_copy(self, node, x, l1, l2, v1, v2, root_lit, through):
         """Derive the pair for node ≡ root of one of its fanins.
 

@@ -137,23 +137,9 @@ class AsyncServiceClient:
             return response
 
     # ------------------------------------------------------------------
-    # Verb helpers (the router's ping, plus submit/result for callers)
+    # Verb helper (the router's liveness ping)
     # ------------------------------------------------------------------
 
     async def ping(self):
         """Server identity block (liveness probe)."""
         return await self.request({"verb": "ping"})
-
-    async def submit(self, aag_a, aag_b, **fields):
-        """Submit one check; extra *fields* ride the request as-is."""
-        message = {"verb": "submit", "aag_a": aag_a, "aag_b": aag_b}
-        message.update(fields)
-        return await self.request(message)
-
-    async def result(self, job_id, wait=False, timeout=None,
-                     on_update=None):
-        """Result of a job, optionally blocking until terminal."""
-        message = {"verb": "result", "job": job_id, "wait": wait}
-        if timeout is not None:
-            message["timeout"] = timeout
-        return await self.request(message, on_update=on_update)

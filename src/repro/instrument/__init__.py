@@ -28,7 +28,7 @@ from .metrics import (
     to_prometheus_text,
     validate_metrics_report,
 )
-from .phases import PHASE_REGISTRY, is_registered
+from .phases import PHASE_REGISTRY
 from .profiling import maybe_profile
 from .progress import (
     PROGRESS_SCHEMA,
@@ -66,7 +66,6 @@ __all__ = [
     "estimate_eta_band",
     "format_heartbeat",
     "get_logger",
-    "is_registered",
     "latest_heartbeat",
     "maybe_profile",
     "snapshot_sink",

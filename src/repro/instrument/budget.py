@@ -25,6 +25,26 @@ import time
 from typing import Any, Callable, Dict, Optional
 
 
+def non_negative(value: Any, kinds: Any = (int, float)) -> bool:
+    """True when *value* is a *kinds* number >= 0 (never a bool or NaN)."""
+    return (
+        isinstance(value, kinds) and not isinstance(value, bool)
+        and value >= 0
+    )
+
+
+def check_limit(name: str, value: Any, kinds: Any = (int, float)) -> None:
+    """The one rule for a limit: None, or a non-negative *kinds* number
+    (pass ``int`` for a conflict or clause count); never a bool or NaN.
+
+    Raises:
+        ValueError: naming *name* and the rejected *value*.
+    """
+    if value is not None and not non_negative(value, kinds):
+        raise ValueError("%r must be a non-negative %s or null, not %r"
+                         % (name, "int" if kinds is int else "number", value))
+
+
 class BudgetExhausted(Exception):
     """Raised by components that cannot return ``UNKNOWN`` in-band.
 
@@ -46,6 +66,9 @@ class Budget:
             charged to this budget (None = no limit).
         proof_clause_limit: proof-store size ceiling (None = no limit).
         clock: monotonic time source (overridable for tests).
+
+    Raises:
+        ValueError: when a limit breaks :func:`check_limit`.
     """
 
     def __init__(
@@ -55,6 +78,9 @@ class Budget:
         proof_clause_limit: Optional[int] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
+        check_limit("time_limit", time_limit)
+        check_limit("conflict_limit", conflict_limit, int)
+        check_limit("proof_clause_limit", proof_clause_limit, int)
         self.time_limit = time_limit
         self.conflict_limit = conflict_limit
         self.proof_clause_limit = proof_clause_limit

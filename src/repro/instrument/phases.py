@@ -67,8 +67,3 @@ PHASE_REGISTRY: FrozenSet[str] = frozenset({
     "fleet/route",
     "fleet/cache-transfer",
 })
-
-
-def is_registered(name: str) -> bool:
-    """True when *name* is a registered phase name."""
-    return name in PHASE_REGISTRY

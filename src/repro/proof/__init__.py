@@ -3,8 +3,6 @@
 from .checker import CheckResult, check_clause, check_proof, \
     check_refutation_of
 from .drup import check_rup_proof, write_drup
-from .interpolant import Interpolant, InterpolationError, interpolate, \
-    partition_vars
 from .stats import ProofStats, proof_stats
 from .store import AXIOM, DERIVED, ProofError, ProofStore, resolve
 from .tracecheck import dumps_tracecheck, parse_tracecheck, \
@@ -15,8 +13,6 @@ __all__ = [
     "AXIOM",
     "CheckResult",
     "DERIVED",
-    "Interpolant",
-    "InterpolationError",
     "ProofError",
     "ProofStats",
     "ProofStore",
@@ -25,10 +21,8 @@ __all__ = [
     "check_refutation_of",
     "check_rup_proof",
     "dumps_tracecheck",
-    "interpolate",
     "needed_ids",
     "parse_tracecheck",
-    "partition_vars",
     "proof_stats",
     "read_tracecheck",
     "resolve",

@@ -8,8 +8,8 @@ A standalone DIMACS front end for the proof-logging CDCL solver::
     repro-sat formula.cnf --assume 3 -7        # solve under assumptions
 
 Exit codes follow the SAT-competition convention: 10 = SAT, 20 = UNSAT,
-0 = unknown/limit; 3 = invalid input (unreadable or malformed DIMACS, or
-a bad ``--assume`` list).
+0 = unknown/limit; 3 = invalid input (unreadable or malformed DIMACS, a
+bad ``--assume`` list, or a negative or NaN limit).
 """
 
 import sys
@@ -19,6 +19,7 @@ from .cnf.dimacs import DimacsError, read_dimacs
 from .exit_codes import EXIT_INVALID_INPUT, EXIT_SAT, EXIT_SAT_UNKNOWN, \
     EXIT_UNSAT, CliParser
 from .instrument import Budget, Recorder, maybe_profile
+from .instrument.budget import check_limit
 from .proof.checker import check_proof
 from .proof.drup import write_drup
 from .proof.stats import proof_stats
@@ -91,12 +92,18 @@ def main(argv=None):
     except (OSError, UnicodeDecodeError, DimacsError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID_INPUT
+    try:
+        check_limit("max_conflicts", args.max_conflicts, int)
+        check_limit("conflict_limit", args.conflict_limit, int)
+        budget = None
+        if args.time_limit is not None:
+            budget = Budget(time_limit=args.time_limit)
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_INVALID_INPUT
     recorder = Recorder()
     recorder.meta.update({"tool": "repro-sat", "cnf": args.cnf})
     recorder.gauge("solver/kernel", propagate_kernel())
-    budget = None
-    if args.time_limit is not None:
-        budget = Budget(time_limit=args.time_limit)
     max_conflicts = args.max_conflicts
     if args.conflict_limit is not None:
         max_conflicts = (

@@ -26,6 +26,7 @@ import socket
 import time
 
 from ..core.serialize import result_from_dict
+from ..instrument.budget import non_negative
 from ..instrument.tracing import (
     TraceContext,
     merge_trace_documents,
@@ -86,18 +87,18 @@ class ServiceClient:
         backoff=DEFAULT_BACKOFF,
     ):
         self.family, self.target = protocol.parse_address(address)
-        if not protocol.non_negative(retries, int):
+        if not non_negative(retries, int):
             raise ValueError(
                 "retries must be a non-negative integer, got %r" % (retries,)
             )
         if timeout is not None and not (
-            protocol.non_negative(timeout) and timeout > 0
+            non_negative(timeout) and timeout > 0
         ):
             raise ValueError(
                 "timeout must be a positive number of seconds or None, "
                 "got %r" % (timeout,)
             )
-        if not protocol.non_negative(backoff):
+        if not non_negative(backoff):
             raise ValueError(
                 "backoff must be a non-negative number, got %r" % (backoff,)
             )
@@ -154,7 +155,10 @@ class ServiceClient:
 
         Non-final (heartbeat) responses are passed to *on_update* and
         never returned. Raises :class:`ServiceError` on an ``ok: false``
-        final response and ``OSError`` when the transport fails.
+        final response, ``OSError`` when the transport fails, and
+        :class:`~repro.service.protocol.ProtocolError` when a reply is
+        not a protocol line (say, from an HTTP ``/metrics`` port); on
+        either of the last two the connection is dropped.
 
         Only *connect* failures are retried: once any request bytes may
         have been written, a transport failure (e.g. a read timeout) is
@@ -175,7 +179,7 @@ class ServiceClient:
                     continue
             try:
                 return self._exchange(message, on_update)
-            except OSError:
+            except (OSError, protocol.ProtocolError):
                 self.close()
                 raise
         raise last_error

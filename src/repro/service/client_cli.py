@@ -36,6 +36,7 @@ from ..instrument import Recorder, to_chrome_trace
 from ..instrument.progress import format_heartbeat
 from .client import ServiceClient, ServiceError
 from .jobs import TERMINAL_STATES
+from .protocol import ProtocolError
 
 
 def build_parser():
@@ -353,6 +354,10 @@ def main(argv=None):
         ) else EXIT_UNDECIDED
     except OSError as exc:
         print("repro-client: cannot reach %s: %s"
+              % (args.server, exc), file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    except ProtocolError as exc:
+        print("repro-client: error: %s is not a CEC server: %s"
               % (args.server, exc), file=sys.stderr)
         return EXIT_INVALID_INPUT
 

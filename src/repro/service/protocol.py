@@ -155,14 +155,6 @@ def ping_response():
     return ok_response("ping", version=__version__, protocol=PROTOCOL_SCHEMA)
 
 
-def non_negative(value, kinds=(int, float)):
-    """True when *value* is a *kinds* number >= 0 (never a bool or NaN)."""
-    return (
-        isinstance(value, kinds) and not isinstance(value, bool)
-        and value >= 0
-    )
-
-
 def parse_address(spec):
     """Parse an address argument into ``(family, target)``.
 

@@ -42,6 +42,7 @@ from ..aig.aiger import AigerError, read_aag
 from ..aig.miter import check_interface
 from ..core.cec import verdict_name
 from ..instrument import Recorder, TraceContext, get_logger
+from ..instrument.budget import non_negative
 from ..instrument.metrics import observe_stats_workload, to_prometheus_text
 from ..instrument.progress import (
     DEFAULT_INTERVAL as DEFAULT_PROGRESS_INTERVAL,
@@ -754,7 +755,7 @@ class CecServer:
 
     def _handle_result(self, request, send):
         timeout = request.get("timeout")
-        if timeout is not None and not protocol.non_negative(timeout):
+        if timeout is not None and not non_negative(timeout):
             send(protocol.error_response(
                 protocol.ERR_INVALID_REQUEST,
                 "'timeout' must be a non-negative number or null, not %r"

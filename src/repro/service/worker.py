@@ -23,6 +23,7 @@ from ..core.certify import CertificationError, certify
 from ..core.fraig import SweepOptions
 from ..core.serialize import result_to_dict
 from ..instrument import Budget, Recorder, TraceContext
+from ..instrument.budget import check_limit
 from ..instrument.progress import (
     DEFAULT_INTERVAL,
     ProgressTracker,
@@ -30,7 +31,7 @@ from ..instrument.progress import (
 )
 from ..proof.trim import trim
 from .cache import OPTION_FIELDS
-from .protocol import ERR_BAD_INPUT, ERR_CERTIFY_FAILED, non_negative
+from .protocol import ERR_BAD_INPUT, ERR_CERTIFY_FAILED
 
 
 def build_options(options_dict):
@@ -49,18 +50,15 @@ def build_options(options_dict):
 
 def check_budget(request):
     """Check a submit's ``time_limit`` (null or a non-negative number)
-    and ``conflict_limit`` (null or a non-negative int).
+    and ``conflict_limit`` (null or a non-negative int) by the rule
+    :class:`Budget` applies.
 
     Raises:
         ValueError: on any other value, a bool or a NaN included
             (callers map this to a ``bad-input`` response).
     """
-    for field, kinds, noun in (("time_limit", (int, float), "number"),
-                               ("conflict_limit", int, "int")):
-        value = request.get(field)
-        if value is not None and not non_negative(value, kinds):
-            raise ValueError("%r must be a non-negative %s or null, not %r"
-                             % (field, noun, value))
+    check_limit("time_limit", request.get("time_limit"))
+    check_limit("conflict_limit", request.get("conflict_limit"), int)
 
 
 def execute_job(request):

@@ -1,17 +1,13 @@
 """Function-preserving AIG transforms used to manufacture benchmark pairs."""
 
 from .balance import balance
-from .pipeline import PipelineResult, optimize, optimize_certified
 from .restructure import detect_mux, detect_xor, restructure
 from .rewrite import rewrite, synthesize_table
 
 __all__ = [
-    "PipelineResult",
     "balance",
     "detect_mux",
     "detect_xor",
-    "optimize",
-    "optimize_certified",
     "restructure",
     "rewrite",
     "synthesize_table",

@@ -7,7 +7,8 @@ import pytest
 
 from repro import cli
 from repro.aig import lit_not, read_aag, write_aag, write_aig
-from repro.circuits import carry_lookahead_adder, ripple_carry_adder
+from repro.circuits import carry_lookahead_adder, comparator, \
+    comparator_subtract, ripple_carry_adder
 from repro.cli import build_parser, main
 from repro.core.certify import CertificationError
 
@@ -143,6 +144,28 @@ class TestLocalChecks:
         file_a, file_b, _ = circuit_files
         assert main([file_a, file_b, "--certify"]) == 3
         assert "certificate INVALID: forged" in capsys.readouterr().err
+
+
+class TestCliPerOutput:
+    def test_per_output_flag(self, tmp_path, capsys):
+        good = comparator(3)
+        bad = comparator_subtract(3).copy()
+        bad.set_output(1, lit_not(bad.outputs[1]))
+        path_a = tmp_path / "a.aag"
+        path_b = tmp_path / "b.aag"
+        write_aag(good, str(path_a))
+        write_aag(bad, str(path_b))
+        assert main([str(path_a), str(path_b), "--per-output"]) == 1
+        out = capsys.readouterr().out
+        assert "lt" in out and "DIFFERS" in out
+        assert out.count("EQUIVALENT") >= 2  # lt and gt lines
+
+    def test_per_output_all_good(self, tmp_path, capsys):
+        path_a = tmp_path / "a.aag"
+        path_b = tmp_path / "b.aag"
+        write_aag(comparator(3), str(path_a))
+        write_aag(comparator_subtract(3), str(path_b))
+        assert main([str(path_a), str(path_b), "--per-output"]) == 0
 
 
 class TestBddSweepEngine:

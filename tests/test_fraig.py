@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro import check_equivalence
 from repro.aig import AIG, FALSE, build_miter
 from repro.circuits import (
     carry_lookahead_adder,
     comparator,
     comparator_subtract,
+    kogge_stone_adder,
     parity_chain,
     parity_tree,
     ripple_carry_adder,
@@ -190,3 +192,30 @@ class TestStatsAccounting:
     def test_repr(self):
         _, engine = sweep_miter(parity_tree(3), parity_chain(3))
         assert "sat_calls" in repr(engine.stats)
+
+
+class TestCexNeighbors:
+    def test_option_accepted_and_correct(self):
+        result = check_equivalence(
+            ripple_carry_adder(8),
+            kogge_stone_adder(8),
+            SweepOptions(cex_neighbors=4, validate_proof=True),
+        )
+        assert result.equivalent is True
+
+    def test_neighbors_reduce_refinements(self):
+        plain = check_equivalence(
+            ripple_carry_adder(16),
+            kogge_stone_adder(16),
+            SweepOptions(sim_words=1, cex_neighbors=0),
+        )
+        boosted = check_equivalence(
+            ripple_carry_adder(16),
+            kogge_stone_adder(16),
+            SweepOptions(sim_words=1, cex_neighbors=8),
+        )
+        assert plain.equivalent and boosted.equivalent
+        assert (
+            boosted.engine.stats.refinements
+            <= plain.engine.stats.refinements
+        )

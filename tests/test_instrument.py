@@ -323,6 +323,17 @@ class TestDisabledHookBudget:
 
 
 class TestBudget:
+    @pytest.mark.parametrize("limits", [
+        {"time_limit": -1}, {"time_limit": float("nan")},
+        {"time_limit": True}, {"time_limit": "5"},
+        {"conflict_limit": -1}, {"conflict_limit": 2.5},
+        {"conflict_limit": False}, {"proof_clause_limit": -1},
+        {"proof_clause_limit": 1.0},
+    ], ids=repr)
+    def test_bad_limits_raise_value_error(self, limits):
+        with pytest.raises(ValueError, match=next(iter(limits))):
+            Budget(**limits)
+
     def test_no_limits_never_exhausts(self):
         budget = Budget(clock=FakeClock())
         budget.on_conflict(10 ** 9)

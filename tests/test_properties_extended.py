@@ -14,7 +14,7 @@ from repro.proof import (
     write_tracecheck,
 )
 from repro.sat import UNSAT, Solver
-from repro.transforms import optimize, rewrite
+from repro.transforms import rewrite
 
 RELAXED = settings(
     max_examples=30, deadline=None,
@@ -95,15 +95,6 @@ class TestRewriteProperties:
         variant = rewrite(aig, k=4, selection=0.7, seed=seed)
         for bits in itertools.product([0, 1], repeat=aig.num_inputs):
             assert aig.evaluate(list(bits)) == variant.evaluate(list(bits))
-
-    @RELAXED
-    @given(random_aigs(max_inputs=4, max_nodes=14))
-    def test_optimize_preserves_function(self, aig):
-        result = optimize(aig, rounds=1)
-        for bits in itertools.product([0, 1], repeat=aig.num_inputs):
-            assert aig.evaluate(list(bits)) == result.aig.evaluate(
-                list(bits)
-            )
 
 
 class TestProofRoundTrips:

@@ -905,6 +905,66 @@ class TestClientRetrySemantics:
             client.ping()
 
 
+@pytest.fixture
+def http_address():
+    """An address that answers a request line with one HTTP status line,
+    as a shard's or router's ``/metrics`` port does, and then waits for
+    the client to hang up: one connection."""
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(5.0)
+            try:
+                conn.recv(65536)
+                conn.sendall(b"HTTP/1.0 400 Bad request syntax\r\n"
+                             b"Content-Type: text/html\r\n\r\n")
+                conn.recv(1)
+            except OSError:
+                pass
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield "127.0.0.1:%d" % listener.getsockname()[1]
+    finally:
+        thread.join(10.0)
+        listener.close()
+
+
+class TestForeignServer:
+    """A client pointed at a port that is not a CEC server."""
+
+    def test_client_drops_the_connection(self, http_address):
+        client = ServiceClient(http_address, retries=0)
+        try:
+            with pytest.raises(protocol.ProtocolError):
+                client.ping()
+            assert client._sock is None and client._reader is None
+        finally:
+            client.close()
+
+    @pytest.mark.parametrize("tool", ["repro-client", "repro-cec"])
+    def test_clis_exit_invalid_input(self, http_address, adder_pair,
+                                     tmp_path, tool, capsys):
+        if tool == "repro-client":
+            code = client_cli.main(["--server", http_address, "ping"])
+        else:
+            paths = []
+            for name, text in zip("ab", adder_pair):
+                paths.append(str(tmp_path / ("%s.aag" % name)))
+                with open(paths[-1], "w") as handle:
+                    handle.write(text)
+            code = cli.main(paths + ["--server", http_address])
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID_INPUT
+        assert "error:" in err and "not a CEC server" in err
+        assert "Traceback" not in err
+
+
 class TestClientArguments:
     @pytest.mark.parametrize("kwargs", [
         {"retries": -1}, {"retries": 1.5}, {"retries": True},
