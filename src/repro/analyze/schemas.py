@@ -108,7 +108,7 @@ SERVICE_REQUEST_KEYS: FrozenSet[str] = frozenset({
     "verb",
     # submit
     "aag_a", "aag_b", "options", "time_limit", "conflict_limit",
-    "certify", "lint", "trim", "trace",
+    "certify", "lint", "trace",
     # submit, set by the router only: answer a cache hit, admit no job
     "cache_only",
     # status / result / cancel / progress

@@ -251,8 +251,7 @@ def _run_remote(args):
             result, response = client.check(
                 _to_aag_text(aig_a), _to_aag_text(aig_b),
                 recorder=trace_recorder,
-                options={"sim_words": args.sim_words,
-                         "seed": args.seed, "proof": True},
+                options={"sim_words": args.sim_words, "seed": args.seed},
                 time_limit=args.time_limit,
                 conflict_limit=args.conflict_limit,
                 lint=args.lint,

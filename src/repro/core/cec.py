@@ -33,7 +33,7 @@ class CecResult:
         counterexample: on non-equivalence, a list of 0/1 input values
             (in shared input order) on which the outputs differ.
         proof: the :class:`~repro.proof.store.ProofStore` refuting the
-            miter (None when non-equivalent or proof logging disabled).
+            miter (None unless the verdict is equivalent).
         empty_clause_id: proof id of the empty clause.
         miter: the :class:`~repro.aig.miter.Miter` that was analyzed.
         cnf: the miter CNF *including* the output unit clause — the
@@ -69,8 +69,8 @@ class CecResult:
 
     def __repr__(self):
         if self.equivalent:
-            return "CecResult(equivalent=True, proof_clauses=%s)" % (
-                len(self.proof) if self.proof is not None else "off"
+            return "CecResult(equivalent=True, proof_clauses=%d)" % (
+                len(self.proof)
             )
         if self.equivalent is False:
             return "CecResult(equivalent=False, cex=%r)" % (
@@ -195,10 +195,9 @@ def _conclude(miter, engine, out_lit, budget=None):
             engine=engine,
             elapsed_seconds=0.0,
         )
-    if final.status is UNSAT and engine.proof is not None:
-        engine.solver.add_clause(
-            list(final.final_clause), axiom=False, proof_id=final.proof_id
-        )
+    engine.solver.add_clause(
+        list(final.final_clause), axiom=False, proof_id=final.proof_id
+    )
     return _finish_equivalent(miter, engine, out_lit)
 
 
@@ -207,17 +206,17 @@ def _finish_equivalent(miter, engine, out_lit):
     out_cnf = engine.enc.lit_to_cnf(out_lit)
     still_consistent = engine.solver.add_clause([out_cnf])
     if still_consistent:
-        # The output literal was not yet forced at level 0 (possible only
-        # without proof logging shortcuts); one unconditional solve must
-        # refute now.
+        # Every route here installed a lemma that falsifies the output
+        # literal, so the unit should conflict at level 0; if it did
+        # not, one unconditional solve must refute now.
         final = engine.solver.solve()
         if final.status is not UNSAT:
             raise RuntimeError(
                 "engine concluded equivalence but the miter is satisfiable"
             )
     proof = engine.proof
-    empty_id = proof.find_empty_clause() if proof is not None else None
-    if proof is not None and empty_id is None:
+    empty_id = proof.find_empty_clause()
+    if empty_id is None:
         raise RuntimeError("refutation finished without an empty clause")
     return CecResult(
         equivalent=True,

@@ -58,9 +58,7 @@ def certify(result, rup=False, lint=False, pair=None):
     if result.equivalent is False:
         return _certify_counterexample(result, pair)
     if result.proof is None:
-        raise CertificationError(
-            "equivalence verdict carries no proof (logging was disabled)"
-        )
+        raise CertificationError("equivalence verdict carries no proof")
     if lint:
         from ..analyze.proof_lint import lint_proof
 

@@ -67,9 +67,6 @@ class SweepOptions:
             SAT calls; ``"off"`` disables structural merging entirely
             (every merge goes through simulation candidates + SAT) — the
             ablation configurations.
-        use_simulation: when false, no candidate classes are formed from
-            simulation; only structural merging runs (ablation B). The
-            final output check still falls back to SAT.
         cex_neighbors: when a SAT call refutes a candidate, also add this
             many single-bit perturbations of the counterexample pattern
             to the simulator (the classic distance-1 trick: neighbours of
@@ -78,7 +75,6 @@ class SweepOptions:
             pass.
         max_conflicts: per-call conflict budget (None = unlimited). A
             budget-exhausted candidate is skipped, never mis-merged.
-        proof: when false, skip all proof logging (timing baseline).
         validate_proof: validate every derivation at insertion (slow;
             tests only).
     """
@@ -88,10 +84,8 @@ class SweepOptions:
         sim_words=4,
         seed=2007,
         structural_mode="resolution",
-        use_simulation=True,
         cex_neighbors=0,
         max_conflicts=None,
-        proof=True,
         validate_proof=False,
     ):
         if structural_mode not in ("resolution", "sat", "off"):
@@ -105,18 +99,15 @@ class SweepOptions:
                     "%s must be a non-negative int, got %r" % (name, value)
                 )
         check_limit("max_conflicts", max_conflicts, int)
-        for name, value in (("use_simulation", use_simulation),
-                            ("proof", proof),
-                            ("validate_proof", validate_proof)):
-            if not isinstance(value, bool):
-                raise ValueError("%s must be a bool, got %r" % (name, value))
+        if not isinstance(validate_proof, bool):
+            raise ValueError(
+                "validate_proof must be a bool, got %r" % (validate_proof,)
+            )
         self.sim_words = sim_words
         self.seed = seed
         self.structural_mode = structural_mode
-        self.use_simulation = use_simulation
         self.cex_neighbors = cex_neighbors
         self.max_conflicts = max_conflicts
-        self.proof = proof
         self.validate_proof = validate_proof
 
 
@@ -141,11 +132,6 @@ class SweepStats:
         # (mirrors Simulator.num_resimulations at the end of the sweep).
         self.sim_passes = 0
         self.skipped_candidates = 0
-        self.sweep_seconds = 0.0
-        # Per-activity phase breakdown of sweep_seconds.
-        self.sim_seconds = 0.0
-        self.strash_seconds = 0.0
-        self.sat_seconds = 0.0
         # True when candidates were skipped because a Budget ran out
         # (as opposed to per-call max_conflicts exhaustion).
         self.budget_exhausted = False
@@ -193,13 +179,8 @@ class SweepEngine:
         self.stats = SweepStats()
         with self.recorder.phase("sweep/encode"):
             self.enc = tseitin_encode(aig)
-        self.proof = (
-            ProofStore(
-                validate=self.options.validate_proof,
-                recorder=recorder,
-            )
-            if self.options.proof
-            else None
+        self.proof = ProofStore(
+            validate=self.options.validate_proof, recorder=recorder,
         )
         self.solver = Solver(proof=self.proof, recorder=recorder)
         with self.recorder.phase("sweep/load"):
@@ -210,23 +191,15 @@ class SweepEngine:
                     )
         with self.recorder.phase("sweep/sim"):
             self.sim = Simulator(
-                aig,
-                num_words=(
-                    self.options.sim_words
-                    if self.options.use_simulation
-                    else 1
-                ),
-                seed=self.options.seed,
+                aig, num_words=self.options.sim_words, seed=self.options.seed,
             )
         # Union-find (single level): AIG var -> representative AIG literal.
         self._parent = [2 * var for var in range(aig.num_vars)]
         # AIG var -> EquivLemma (None while the var is its own root).
         self._lemmas = [None] * aig.num_vars
-        self._stitcher = None
-        if self.proof is not None:
-            self._stitcher = StructuralStitcher(
-                self.proof, self.enc.defining_clauses, self._lemma_of
-            )
+        self._stitcher = StructuralStitcher(
+            self.proof, self.enc.defining_clauses, self._lemma_of
+        )
         # Candidate classes: normalized signature -> the first processed
         # root with that signature.
         self._class_table = {}
@@ -287,9 +260,8 @@ class SweepEngine:
 
     def _register_root(self, var):
         self._processed.append(var)
-        if self.options.use_simulation:
-            norm, _ = self._norm_signature(var)
-            self._class_table.setdefault(norm, var)
+        norm, _ = self._norm_signature(var)
+        self._class_table.setdefault(norm, var)
 
     def _candidate_for(self, var):
         """Simulation candidate root for *var*, or None.
@@ -297,8 +269,6 @@ class SweepEngine:
         Returns ``(root_var, phase)`` where ``var ≡ root_var ^ phase`` is
         conjectured.
         """
-        if not self.options.use_simulation:
-            return None
         norm, phase = self._norm_signature(var)
         root = self._class_table.get(norm)
         if root is None or root == var:
@@ -406,23 +376,16 @@ class SweepEngine:
 
     def _install_lemma_clause(self, result):
         """Install an UNSAT final clause into the solver as a premise."""
-        clause = result.final_clause
-        if self.proof is not None:
-            self.solver.add_clause(
-                clause, axiom=False, proof_id=result.proof_id
-            )
-            return result.proof_id
-        self.solver.add_clause(clause, axiom=True)
-        return None
+        self.solver.add_clause(
+            result.final_clause, axiom=False, proof_id=result.proof_id
+        )
+        return result.proof_id
 
     def _install_derived(self, proof_id):
         """Install a stitched equivalence clause into the solver."""
-        if proof_id is None:
-            return None
         self.solver.add_clause(
             list(self.proof.clause(proof_id)), axiom=False, proof_id=proof_id
         )
-        return proof_id
 
     # ------------------------------------------------------------------
     # Structural merging
@@ -463,7 +426,7 @@ class SweepEngine:
             if other is None or other == var or not self.is_root(other):
                 return False
             kind, target = "hash", 2 * other
-        if self.options.structural_mode == "sat" or self.proof is None:
+        if self.options.structural_mode == "sat":
             return self._structural_via_sat(var, kind, target)
         try:
             return self._structural_via_resolution(
@@ -664,10 +627,7 @@ class SweepEngine:
                 self._reduced_strash.setdefault((p, q), var)
         self._swept = True
         stats.sim_passes = self.sim.num_resimulations
-        stats.sweep_seconds = clock() - start
-        stats.sim_seconds += sim_s
-        stats.strash_seconds += strash_s
-        stats.sat_seconds += sat_s
+        total_s = clock() - start
         if timing:
             # Flush the per-activity accumulators; the keys are always
             # present (possibly at 0.0) so downstream schema consumers
@@ -675,7 +635,7 @@ class SweepEngine:
             rec.add_time("sweep/sim", sim_s)
             rec.add_time("sweep/strash", strash_s)
             rec.add_time("sweep/sat", sat_s)
-            rec.add_time("sweep/total", stats.sweep_seconds)
+            rec.add_time("sweep/total", total_s)
             rec.add_time("sweep/refine-batch", self._refine_seconds,
                          count=max(stats.refinements, 1))
             rec.count("sweep/nodes", stats.nodes_processed)
@@ -691,9 +651,8 @@ class SweepEngine:
             rec.count("sweep/sim_passes", stats.sim_passes)
             rec.count("sweep/skipped_candidates", stats.skipped_candidates)
             rec.gauge("sweep/patterns", self.sim.num_patterns)
-            if self.proof is not None:
-                rec.gauge("proof/clauses", len(self.proof))
-                rec.gauge("proof/axioms", self.proof.num_axioms)
-                rec.gauge("proof/derived", self.proof.num_derived)
-                rec.gauge("proof/resolutions", self.proof.num_resolutions)
+            rec.gauge("proof/clauses", len(self.proof))
+            rec.gauge("proof/axioms", self.proof.num_axioms)
+            rec.gauge("proof/derived", self.proof.num_derived)
+            rec.gauge("proof/resolutions", self.proof.num_resolutions)
         return self.stats

@@ -113,12 +113,9 @@ def _settle_output(miter, engine, index, name, xor_lit, budget=None):
         budget=budget,
     )
     if result.status is UNSAT:
-        if engine.proof is not None:
-            engine.solver.add_clause(
-                list(result.final_clause),
-                axiom=False,
-                proof_id=result.proof_id,
-            )
+        engine.solver.add_clause(
+            list(result.final_clause), axiom=False, proof_id=result.proof_id,
+        )
         return OutputVerdict(index, name, True, None)
     if result.status is SAT:
         cex = [

@@ -6,7 +6,7 @@ service. This package adds the distribution layer above it:
 * :mod:`repro.fleet.ring` — deterministic consistent-hash ring with
   bounded key movement on membership changes.
 * :mod:`repro.fleet.aioclient` — asyncio client for the line-JSON
-  service/fleet protocols (used by the router and the load bench).
+  service/fleet protocols (the router's connections to its shards).
 * :mod:`repro.fleet.router` — the ``repro-router`` front door:
   routes submits by proof-cache key, brokers cross-shard
   ``repro-fleet/1`` cache transfers, health-checks shards, stitches

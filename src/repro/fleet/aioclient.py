@@ -14,10 +14,12 @@ the response lines it has read, so the router can tell a stale reused
 connection (nothing read) from a shard failing mid-answer.
 
 Failures keep the :class:`~repro.service.client.ServiceError` /
-``OSError`` split of the synchronous client: protocol-level ``ok:
-false`` responses raise ``ServiceError`` (they are answers), transport
-problems raise ``OSError`` subclasses (the caller decides whether
-re-sending is replay-safe).
+``OSError`` / ``ProtocolError`` split of the synchronous client:
+protocol-level ``ok: false`` responses raise ``ServiceError`` (they
+are answers), transport problems raise ``OSError`` subclasses (the
+caller decides whether re-sending is replay-safe), and a reply that is
+not a protocol line, one longer than ``MAX_LINE_BYTES`` included,
+raises :class:`~repro.service.protocol.ProtocolError`.
 """
 
 import asyncio
@@ -117,9 +119,18 @@ class AsyncServiceClient:
         self._writer.write(protocol.encode(message))
         await asyncio.wait_for(self._writer.drain(), self.timeout)
         while True:
-            line = await asyncio.wait_for(
-                self._reader.readline(), self.timeout,
-            )
+            try:
+                line = await asyncio.wait_for(
+                    self._reader.readline(), self.timeout,
+                )
+            except ValueError:
+                # StreamReader.readline signals a line longer than the
+                # stream limit as ValueError. The peer did answer, so
+                # the line counts as read.
+                self.lines_read += 1
+                raise protocol.ProtocolError(
+                    "reply line exceeds %d bytes" % protocol.MAX_LINE_BYTES
+                )
             if not line:
                 raise ConnectionError(
                     "%s closed the connection mid-request" % self.address

@@ -43,9 +43,8 @@ from ..analyze.schemas import CACHE_META_SCHEMA, RESULT_SCHEMA
 #: SweepOptions fields that select the engine configuration and hence
 #: the artifact; they are folded into the cache key in canonical form.
 OPTION_FIELDS = (
-    "sim_words", "seed", "structural_mode", "use_simulation",
-    "cex_neighbors", "max_conflicts", "proof",
-    "validate_proof",
+    "sim_words", "seed", "structural_mode", "cex_neighbors",
+    "max_conflicts", "validate_proof",
 )
 
 _HEX_KEY = re.compile(r"[0-9a-f]+\Z")

@@ -157,8 +157,9 @@ class ServiceClient:
         never returned. Raises :class:`ServiceError` on an ``ok: false``
         final response, ``OSError`` when the transport fails, and
         :class:`~repro.service.protocol.ProtocolError` when a reply is
-        not a protocol line (say, from an HTTP ``/metrics`` port); on
-        either of the last two the connection is dropped.
+        not a protocol line (say, from an HTTP ``/metrics`` port, or
+        longer than ``MAX_LINE_BYTES``); on either of the last two the
+        connection is dropped.
 
         Only *connect* failures are retried: once any request bytes may
         have been written, a transport failure (e.g. a read timeout) is
@@ -201,6 +202,10 @@ class ServiceClient:
             line = self._reader.readline(protocol.MAX_LINE_BYTES + 1)
             if not line:
                 raise ConnectionError("server closed the connection")
+            if len(line) > protocol.MAX_LINE_BYTES:
+                raise protocol.ProtocolError(
+                    "reply line exceeds %d bytes" % protocol.MAX_LINE_BYTES
+                )
             response = protocol.decode(line)
             if not response.get("final", True):
                 if on_update is not None:
@@ -227,7 +232,6 @@ class ServiceClient:
         conflict_limit=None,
         certify=False,
         lint=False,
-        trim=True,
         trace=None,
     ):
         """Submit one check (AIGER texts); returns the submit response.
@@ -246,7 +250,6 @@ class ServiceClient:
             "aag_b": aag_b,
             "certify": certify,
             "lint": lint,
-            "trim": trim,
         }
         if options:
             message["options"] = options

@@ -488,7 +488,6 @@ class CecServer:
             ),
             "certify": bool(request.get("certify")),
             "lint": bool(request.get("lint")),
-            "trim": bool(request.get("trim", True)),
             # Worker-side phases become spans of the same trace,
             # parented under this job's root span.
             "trace": context.child(job_span_id).to_wire(),

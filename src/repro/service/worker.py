@@ -68,8 +68,8 @@ def execute_job(request):
     (mapping of :class:`SweepOptions` fields), ``time_limit`` /
     ``conflict_limit`` (per-job budget), ``certify`` (replay the proof
     in the worker before answering), ``lint`` (with certify: lint
-    fast-reject first), ``trim`` (default True: ship the trimmed
-    proof).
+    fast-reject first). An equivalent verdict always ships its trimmed
+    proof.
 
     An optional ``trace`` field (a :class:`TraceContext` wire mapping)
     threads the submitting client's trace through the worker: every
@@ -127,7 +127,7 @@ def execute_job(request):
     except ValueError as exc:
         # Interface mismatches and kin: the query, not the server.
         return _error(ERR_BAD_INPUT, str(exc))
-    if result.proof is not None and request.get("trim", True):
+    if result.proof is not None:
         with recorder.phase("service/trim"):
             trimmed, _ = trim(result.proof, recorder=recorder)
         result.proof = trimmed

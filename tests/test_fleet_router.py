@@ -12,6 +12,7 @@ import io
 import json
 import os
 import socket
+import socketserver
 import sys
 import threading
 import urllib.request
@@ -189,6 +190,9 @@ class TestRouting:
 
     @pytest.mark.parametrize("fields", [
         {"options": {"refine_batch": 1}},
+        {"options": {"proof": False}},
+        {"options": {"proof": True}},
+        {"options": {"use_simulation": False}},
         {"options": {"sim_words": "4"}},
         {"options": {"cex_neighbors": -2}},
         {"time_limit": "5"},
@@ -198,7 +202,8 @@ class TestRouting:
         {"conflict_limit": 2.5},
         {"conflict_limit": -1},
         {"conflict_limit": True},
-    ], ids=["removed", "str-words", "neg-neighbors", "str-time",
+    ], ids=["removed", "proof-off", "proof-on", "no-simulation",
+            "str-words", "neg-neighbors", "str-time",
             "neg-time", "bool-time", "nan-time", "float-conflict-limit",
             "neg-conflict-limit", "bool-conflict-limit"])
     def test_bad_options_rejected_at_submit(self, fleet, adder_pair,
@@ -210,6 +215,9 @@ class TestRouting:
         counters = fleet.counters()
         assert counters["fleet/jobs-rejected"] == 1
         assert "fleet/jobs-routed" not in counters
+        for shard in fleet.shards.values():
+            assert len(shard.jobs) == 0
+            assert shard.cache.keys() == []
 
     @pytest.mark.parametrize("fields", [
         {"time_limit": 0}, {"time_limit": 0.5}, {"time_limit": None},
@@ -827,6 +835,100 @@ class TestHealthAndFailover:
         assert response["verdict"] == "equivalent"
         assert fleet.counters().get("fleet/shard-downs", 0) == 0
         assert len(fleet.router.ring) == 2
+
+
+class OverlongShard:
+    """A fake shard on a Unix socket: it answers ``ping`` like a shard,
+    and every other request with one line of over 10 KB."""
+
+    def __init__(self, address):
+        class Handler(socketserver.StreamRequestHandler):
+            def handle(self):
+                for line in self.rfile:
+                    verb = json.loads(line).get("verb")
+                    if verb == "ping":
+                        reply = protocol.ping_response()
+                    else:
+                        reply = protocol.ok_response(verb, pad="x" * 10240)
+                    try:
+                        self.wfile.write(protocol.encode(reply))
+                    except OSError:
+                        return
+
+        self.server = socketserver.ThreadingUnixStreamServer(
+            address, Handler,
+        )
+        self.server.daemon_threads = True
+        self.thread = threading.Thread(
+            target=self.server.serve_forever, daemon=True,
+        )
+        self.thread.start()
+
+    def close(self):
+        self.server.shutdown()
+        self.server.server_close()
+        self.thread.join(timeout=10)
+        assert not self.thread.is_alive(), "fake shard did not stop"
+
+
+class OverlongHarness(RouterHarness):
+    """A router over one real shard (``shard-b``) and one
+    :class:`OverlongShard` (``shard-a``)."""
+
+    def start_shard(self, address, tmp_path):
+        if not address.endswith("shard-a.sock"):
+            return RouterHarness.start_shard(self, address, tmp_path)
+        shard = OverlongShard(address)
+        self.shards[address] = shard
+        return shard
+
+
+@pytest.fixture()
+def overlong(tmp_path, monkeypatch):
+    # A 10 KB reply overruns this limit: every protocol line the tests
+    # send or expect from the real shard stays under it.
+    monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 4096)
+    harness = OverlongHarness(tmp_path)
+    yield harness
+    harness.close()
+
+
+class TestOverlongReplies:
+    def test_sync_client_names_the_limit(self, overlong):
+        with ServiceClient(overlong.addresses[0]) as client:
+            with pytest.raises(protocol.ProtocolError,
+                               match="reply line exceeds 4096 bytes"):
+                client.status("j000001")
+
+    def test_job_verb_answers_shard_down_and_charges_the_shard(
+        self, overlong,
+    ):
+        fake = overlong.addresses[0]
+        with overlong.client() as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.status("j000001@" + fake)
+            # The router answered and kept the client's connection.
+            assert client.ping()["ok"] is True
+        assert excinfo.value.code == protocol.ERR_SHARD_DOWN
+        assert "reply line exceeds 4096 bytes" in str(excinfo.value)
+        assert overlong.counters()["fleet/shard-errors"] >= 1
+
+    def test_submit_fails_over_to_the_next_shard(self, overlong, adder_pair):
+        fake, real = overlong.addresses
+        a, b = (read_aag(io.StringIO(text)) for text in adder_pair)
+        # Socket paths differ between runs, so pick an engine seed
+        # that makes the fake shard the query's home.
+        options = next(
+            {"seed": seed} for seed in range(64)
+            if overlong.home_of(cache_key(a, b, {"seed": seed})) == fake
+        )
+        with overlong.client() as client:
+            submitted = client.submit(*adder_pair, options=options)
+        assert submitted["job"].endswith("@" + real)
+        counters = overlong.counters()
+        assert counters["fleet/submit-failovers"] == 1
+        assert counters["fleet/shard-errors"] >= 1
+        assert counters["fleet/jobs-routed"] == 1
 
 
 class TestConnectionPool:

@@ -33,7 +33,8 @@ class TestOptions:
     def test_defaults(self):
         options = SweepOptions()
         assert options.structural_mode == "resolution"
-        assert options.use_simulation
+        assert options.max_conflicts is None
+        assert options.validate_proof is False
 
     @pytest.mark.parametrize("field,value", [
         ("sim_words", "4"),
@@ -48,8 +49,6 @@ class TestOptions:
         ("max_conflicts", "5"),
         ("max_conflicts", -1),
         ("max_conflicts", True),
-        ("use_simulation", 1),
-        ("proof", "yes"),
         ("validate_proof", None),
     ])
     def test_rejects_wrong_type_or_range(self, field, value):
@@ -59,7 +58,7 @@ class TestOptions:
     def test_accepts_boundary_values(self):
         options = SweepOptions(
             sim_words=0, cex_neighbors=0, seed=-3, max_conflicts=0,
-            use_simulation=False, proof=False, validate_proof=True,
+            validate_proof=True,
         )
         assert options.max_conflicts == 0
         assert SweepOptions(max_conflicts=None).max_conflicts is None
@@ -155,22 +154,6 @@ class TestAblationModes:
         )
         total_sat = via_sat.stats.structural_merges + via_sat.stats.sat_merges
         assert total_res == total_sat
-
-    def test_no_simulation_still_proves(self):
-        a, b = self.PAIR()
-        miter, engine = sweep_miter(a, b, use_simulation=False)
-        # Without candidates only structural merging runs; the output may
-        # stay unproven, but everything derived must be sound.
-        check_proof(engine.proof, require_empty=False)
-
-    def test_no_proof_mode(self):
-        a, b = self.PAIR()
-        options = SweepOptions(proof=False)
-        miter = build_miter(a, b)
-        engine = SweepEngine(miter.aig, options)
-        engine.sweep()
-        assert engine.proof is None
-        assert engine.rep_lit(miter.output) == FALSE
 
 
 class TestStatsAccounting:

@@ -79,12 +79,9 @@ class TestEngineSharing:
         check_proof(report.engine.proof, require_empty=False)
 
     def test_options_forwarded(self):
-        report = check_outputs(
-            comparator(3),
-            comparator_subtract(3),
-            SweepOptions(proof=False),
-        )
-        assert report.engine.proof is None
+        options = SweepOptions(structural_mode="sat")
+        report = check_outputs(comparator(3), comparator_subtract(3), options)
+        assert report.engine.options is options
         assert report.equivalent
 
 

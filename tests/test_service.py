@@ -209,6 +209,24 @@ class TestCanonicalOptions:
         old_salt = json.dumps(old, sort_keys=True)
         assert cache_key(a, b) != pair_key(a, b, salt=old_salt)
 
+    def test_keys_salted_with_the_sweep_switches_miss(self, adder_pair):
+        # Until the proof-logging and simulation switches were removed,
+        # the salt named them too (both on by default).
+        from repro.aig.structhash import pair_key
+
+        a = read_aag(io.StringIO(adder_pair[0]))
+        b = read_aag(io.StringIO(adder_pair[1]))
+        old = json.loads(canonical_options(None))
+        old.update(proof=True, use_simulation=True)
+        old_salt = json.dumps(old, sort_keys=True)
+        assert cache_key(a, b) != pair_key(a, b, salt=old_salt)
+
+    def test_key_fields_are_the_sweep_options(self):
+        from repro.core import SweepOptions
+        from repro.service.cache import OPTION_FIELDS
+
+        assert sorted(vars(SweepOptions())) == sorted(OPTION_FIELDS)
+
 
 class TestProofCache:
     def _decided_doc(self, adder_pair):
@@ -413,6 +431,26 @@ class TestServerEndToEnd:
         assert progress == "queued"
         assert final == ["done", "done"]
 
+    def test_a_trim_false_miss_caches_the_trimmed_proof(self, server):
+        # `trim` is not a request field: the key is ignored like any
+        # unknown one, so the entry every default submit hits holds
+        # the trimmed proof.
+        pair = (aag_text(ripple_carry_adder(8)),
+                aag_text(kogge_stone_adder(8)))
+        with ServiceClient(server.address) as client:
+            submitted = client.request({
+                "verb": "submit", "aag_a": pair[0], "aag_b": pair[1],
+                "trim": False,
+            })
+            assert submitted["cached"] is False
+            client.result(submitted["job"], wait=True)
+            again = client.submit(*pair)
+            assert again["cached"] is True
+            served = client.result(again["job"])["result"]
+        fresh = execute_job({"aag_a": pair[0], "aag_b": pair[1]})
+        assert served["proof"] == fresh["result"]["proof"]
+        assert len(result_from_dict(served).proof) == 385
+
     def test_symmetric_query_hits(self, server, adder_pair):
         with ServiceClient(server.address) as client:
             client.check(*adder_pair)
@@ -471,6 +509,9 @@ class TestServerEndToEnd:
 
     @pytest.mark.parametrize("fields", [
         {"options": {"refine_batch": 1}},
+        {"options": {"proof": False}},
+        {"options": {"proof": True}},
+        {"options": {"use_simulation": False}},
         {"options": {"sim_words": "4"}},
         {"options": {"max_conflicts": "5"}},
         {"options": {"sim_words": -1}},
@@ -484,7 +525,8 @@ class TestServerEndToEnd:
         {"conflict_limit": 2.5},
         {"conflict_limit": -1},
         {"conflict_limit": True},
-    ], ids=["removed", "str-words", "str-conflicts", "neg-words",
+    ], ids=["removed", "proof-off", "proof-on", "no-simulation",
+            "str-words", "str-conflicts", "neg-words",
             "neg-neighbors", "str-time", "list-time", "neg-time",
             "bool-time", "nan-time", "str-conflict-limit",
             "float-conflict-limit", "neg-conflict-limit",
@@ -498,6 +540,7 @@ class TestServerEndToEnd:
         assert excinfo.value.code == "bad-input"
         assert stats["counters"]["service/jobs-rejected"] == 1
         assert len(server.jobs) == 0
+        assert server.cache.keys() == []
 
     @pytest.mark.parametrize("fields", [
         {"time_limit": 0}, {"time_limit": 0.5}, {"time_limit": None},
