@@ -12,6 +12,19 @@ The store assigns dense integer ids. Ids are stable: deleting a clause from
 a SAT solver's working set never removes it from the proof (the proof may
 still reference it).
 
+Literals, pivots and clause ids are ints (``bool`` is refused); literals
+fit in 64 bits with their negation, ``|lit| < 2**63``.
+
+Two classes implement the store. :class:`ReferenceProofStore` is Python.
+:class:`ProofStore` subclasses ``Store``, the C type of ``store.c``
+(built on first import by :mod:`repro.native`), which holds the same
+columns as the same Python objects and runs the appends and the trim's
+cone walk and rebuild. A host that cannot build the module runs
+``ReferenceProofStore`` as ``ProofStore`` (one warning on the
+``repro.proof`` logger). Both give the same ids, columns, counters and
+errors; the tests hold them to that, as they hold ``Solver`` to
+``ReferenceSolver``.
+
 Example:
     >>> store = ProofStore()
     >>> a = store.add_axiom((1, 2))
@@ -23,16 +36,21 @@ Example:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional, \
-    Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Iterator, List, \
+    Optional, Sequence, Set, Tuple
 
+from .. import native
 from ..cnf.clause import normalize_clause
+from ..instrument import get_logger
 
 AXIOM = "axiom"
 DERIVED = "derived"
 
 #: A clause: sorted tuple of distinct nonzero DIMACS literals.
 Clause = Tuple[int, ...]
+
+#: Largest literal magnitude: a literal and its negation fit in 64 bits.
+MAX_LITERAL = (1 << 63) - 1
 
 #: A derivation chain ``[first_id, (pivot, id), ...]``: one int followed
 #: by ``(pivot, antecedent_id)`` pairs. Typed loosely because the two
@@ -180,8 +198,88 @@ def resolve_chain(
     return tuple(sorted(current)), used
 
 
-class ProofStore:
-    """Container for one resolution proof under construction.
+def _literals(lits: Iterable[Any]) -> Tuple[int, ...]:
+    """*lits* as a tuple, after checking each in order is an int literal.
+
+    Raises:
+        TypeError: on a literal that is not an ``int`` (or is a bool).
+        ValueError: on a literal outside ``[-MAX_LITERAL, MAX_LITERAL]``.
+    """
+    lits = tuple(lits)
+    for lit in lits:
+        if type(lit) is not int:
+            raise TypeError("literal %r is not an int" % (lit,))
+        if not -MAX_LITERAL <= lit <= MAX_LITERAL:
+            raise ValueError("literal %r is out of range" % (lit,))
+    return lits
+
+
+class _StoreReads:
+    """The read API of both stores, over the columns they share."""
+
+    __slots__ = ()
+
+    _clauses: List[Clause]
+    _kinds: List[str]
+    _chains: List[Optional[Chain]]
+
+    def clause(self, clause_id: int) -> Clause:
+        """The clause tuple stored under *clause_id*."""
+        return self._clauses[clause_id]
+
+    def kind(self, clause_id: int) -> str:
+        """``'axiom'`` or ``'derived'``."""
+        return self._kinds[clause_id]
+
+    def chain(self, clause_id: int) -> Optional[Chain]:
+        """The derivation chain of a derived clause (``None`` for axioms).
+
+        A chain is ``[first_id, (pivot1, id1), (pivot2, id2), ...]``.
+        """
+        return self._chains[clause_id]
+
+    def ids(self) -> range:
+        """Iterate all clause ids in insertion (derivation) order."""
+        return range(len(self._clauses))
+
+    def tables(
+        self,
+    ) -> Tuple[Sequence[Clause], Sequence[str], Sequence[Optional[Chain]]]:
+        """Read-only ``(clauses, kinds, chains)`` column views.
+
+        Bulk accessor for analysis passes that index every clause; the
+        per-id accessors cost a method call each, which dominates tight
+        loops over large proofs. Callers must not mutate the returned
+        sequences.
+        """
+        return self._clauses, self._kinds, self._chains
+
+    def replay_chain(self, chain: Chain) -> Clause:
+        """Replay a chain and return the resulting clause."""
+        current = self._clauses[chain[0]]
+        for pivot, clause_id in chain[1:]:
+            current = resolve(current, self._clauses[clause_id], pivot)
+        return current
+
+    @staticmethod
+    def _chain_refs(chain: Chain) -> Iterator[int]:
+        yield chain[0]
+        for _, clause_id in chain[1:]:
+            yield clause_id
+
+    def antecedents(self, clause_id: int) -> Tuple[int, ...]:
+        """Ids referenced by the derivation of *clause_id* (empty for axioms)."""
+        chain = self._chains[clause_id]
+        if chain is None:
+            return ()
+        return tuple(self._chain_refs(chain))
+
+
+class ReferenceProofStore(_StoreReads):
+    """Container for one resolution proof under construction, in Python.
+
+    :class:`ProofStore` is the same store with its columns, appends and
+    trim in C; this class is its reference and its fallback.
 
     Args:
         validate: when true, every :meth:`add_derived` replays its chain
@@ -227,44 +325,13 @@ class ProofStore:
         """Total resolution steps across all derivation chains."""
         return self._num_resolutions
 
-    def clause(self, clause_id: int) -> Clause:
-        """The clause tuple stored under *clause_id*."""
-        return self._clauses[clause_id]
-
-    def kind(self, clause_id: int) -> str:
-        """``'axiom'`` or ``'derived'``."""
-        return self._kinds[clause_id]
-
-    def chain(self, clause_id: int) -> Optional[Chain]:
-        """The derivation chain of a derived clause (``None`` for axioms).
-
-        A chain is ``[first_id, (pivot1, id1), (pivot2, id2), ...]``.
-        """
-        return self._chains[clause_id]
-
-    def ids(self) -> range:
-        """Iterate all clause ids in insertion (derivation) order."""
-        return range(len(self._clauses))
-
-    def tables(
-        self,
-    ) -> Tuple[Sequence[Clause], Sequence[str], Sequence[Optional[Chain]]]:
-        """Read-only ``(clauses, kinds, chains)`` column views.
-
-        Bulk accessor for analysis passes that index every clause; the
-        per-id accessors cost a method call each, which dominates tight
-        loops over large proofs. Callers must not mutate the returned
-        sequences.
-        """
-        return self._clauses, self._kinds, self._chains
-
     def add_axiom(self, lits: Iterable[int]) -> int:
         """Register an axiom clause and return its id.
 
         Re-registering an identical axiom returns the existing id, so the
         CNF-loading code can be called idempotently.
         """
-        clause = normalize_clause(lits)
+        clause = normalize_clause(_literals(lits))
         existing = self._axiom_ids.get(clause)
         if existing is not None:
             return existing
@@ -283,7 +350,7 @@ class ProofStore:
         Returns:
             The new clause id.
         """
-        clause = tuple(sorted(set(lits)))
+        clause = tuple(sorted(set(_literals(lits))))
         chain = list(chain)
         if len(chain) < 2:
             raise ProofError(
@@ -305,6 +372,8 @@ class ProofStore:
                     rule_id="proof.chain-arity",
                     chain=chain,
                 )
+            if type(step[0]) is not int:
+                raise TypeError("pivot %r is not an int" % (step[0],))
         self._require_prior_refs(chain)
         if self.validate:
             replayed = self.replay_chain(chain)
@@ -315,13 +384,6 @@ class ProofStore:
                     chain=chain,
                 )
         return self._append(clause, DERIVED, chain)
-
-    def replay_chain(self, chain: Chain) -> Clause:
-        """Replay a chain and return the resulting clause."""
-        current = self._clauses[chain[0]]
-        for pivot, clause_id in chain[1:]:
-            current = resolve(current, self._clauses[clause_id], pivot)
-        return current
 
     def _append(self, clause: Clause, kind: str, chain: Optional[Chain]) -> int:
         clause_id = len(self._clauses)
@@ -349,25 +411,14 @@ class ProofStore:
     def _require_prior_refs(self, chain: Chain) -> None:
         next_id = len(self._clauses)
         for ref in self._chain_refs(chain):
+            if type(ref) is not int:
+                raise TypeError("clause id %r is not an int" % (ref,))
             if not 0 <= ref < next_id:
                 raise ProofError(
                     "chain references clause %d not yet derived" % ref,
                     rule_id="proof.forward-ref",
                     chain=chain,
                 )
-
-    @staticmethod
-    def _chain_refs(chain: Chain) -> Iterator[int]:
-        yield chain[0]
-        for _, clause_id in chain[1:]:
-            yield clause_id
-
-    def antecedents(self, clause_id: int) -> Tuple[int, ...]:
-        """Ids referenced by the derivation of *clause_id* (empty for axioms)."""
-        chain = self._chains[clause_id]
-        if chain is None:
-            return ()
-        return tuple(self._chain_refs(chain))
 
     def find_empty_clause(self) -> Optional[int]:
         """Id of the first empty clause, or ``None``.
@@ -378,9 +429,89 @@ class ProofStore:
         """
         return self._empty_id
 
-    def derive_resolvent(self, id_a: int, id_b: int, pivot_var: int) -> int:
-        """Resolve two stored clauses and record the result. Returns the id."""
-        clause = resolve(self._clauses[id_a], self._clauses[id_b], pivot_var)
-        chain: Chain = [id_a, (pivot_var, id_b)]
-        self._require_prior_refs(chain)
-        return self._append(clause, DERIVED, chain)
+    def needed_ids(self, root_id: Optional[int] = None) -> Set[int]:
+        """Set of clause ids in the antecedent cone of *root_id*.
+
+        *root_id* defaults to the store's (first) empty clause.
+        :class:`ProofStore` walks the cone in C, and calls this method
+        instead when the walk would read a column item of another shape
+        than the appends make (the corrupt stores of the tests).
+        """
+        if root_id is None:
+            root_id = self.find_empty_clause()
+            if root_id is None:
+                raise ProofError(
+                    "store has no empty clause to trim towards",
+                    rule_id="proof.no-refutation",
+                )
+        needed: Set[int] = set()
+        stack = [root_id]
+        while stack:
+            clause_id = stack.pop()
+            if clause_id in needed:
+                continue
+            needed.add(clause_id)
+            stack.extend(self.antecedents(clause_id))
+        return needed
+
+    def rebuild(
+        self, keep: Iterable[int],
+    ) -> Tuple["ReferenceProofStore", Dict[int, int]]:
+        """A new store of the clauses in *keep*, in id order.
+
+        Returns:
+            ``(store, id_map)`` where ``id_map`` maps the old id of each
+            kept clause to its new one.
+
+        :class:`ProofStore` rebuilds in C, and calls this method instead
+        when *keep* is not a set of ids or a kept clause's column items
+        are of another shape than the appends make.
+        """
+        rebuilt = type(self)()
+        id_map: Dict[int, int] = {}
+        for clause_id in sorted(keep):
+            clause = self.clause(clause_id)
+            chain = self.chain(clause_id)
+            if self.kind(clause_id) == AXIOM or chain is None:
+                id_map[clause_id] = rebuilt.add_axiom(clause)
+            else:
+                new_chain: Chain = [id_map[chain[0]]]
+                for pivot, antecedent_id in chain[1:]:
+                    new_chain.append((pivot, id_map[antecedent_id]))
+                id_map[clause_id] = rebuilt.add_derived(clause, new_chain)
+        return rebuilt, id_map
+
+
+_NATIVE = native.load(  # None: this host cannot build store.c
+    "repro.proof._store", get_logger("proof"),
+    "native proof store unavailable, running the Python ReferenceProofStore",
+)
+
+if TYPE_CHECKING:
+    ProofStore = ReferenceProofStore
+elif _NATIVE is None:
+    # The Python store serves where the C store cannot be built.
+    ProofStore = ReferenceProofStore
+else:
+    class ProofStore(_NATIVE.Store, _StoreReads):
+        """Container for one resolution proof under construction.
+
+        The columns, appends, cone walk and rebuild of
+        :class:`ReferenceProofStore` in C (``store.c``); the same ids,
+        columns, counters and errors.
+
+        Args:
+            validate: when true, every :meth:`add_derived` replays its
+                chain immediately and rejects mismatches.
+            recorder: optional
+                :class:`~repro.instrument.recorder.Recorder` counting
+                every appended clause into ``proof/*``.
+        """
+
+        __slots__ = ()
+
+
+def store_kernel() -> str:
+    """Which store :class:`ProofStore` is: ``"native"`` (the C store of
+    ``store.c``) or ``"python"`` (:class:`ReferenceProofStore`)."""
+    return "python" if ProofStore is ReferenceProofStore else "native"

@@ -102,10 +102,10 @@ def parse_tracecheck(text: str) -> Tuple[ProofStore, Dict[int, int]]:
     step-by-step replay alone.
 
     Raises:
-        ProofError: on a syntax error, a duplicate or forward id, a
-            step without a unique pivot, or a chain that yields another
-            clause than the line claims.
-        ValueError: on a tautological axiom line.
+        ProofError: on a syntax error, a duplicate or forward id, an
+            axiom line the store refuses (a literal of 64 bits or more,
+            a tautology), a step without a unique pivot, or a chain that
+            yields another clause than the line claims.
     """
     store = ProofStore()
     id_map: Dict[int, int] = {}
@@ -157,7 +157,13 @@ def parse_tracecheck(text: str) -> Tuple[ProofStore, Dict[int, int]]:
                 rule_id="trace.duplicate-id",
             )
         if not antecedents:
-            id_map[file_id] = store.add_axiom(literals)
+            try:
+                id_map[file_id] = store.add_axiom(literals)
+            except ValueError as exc:
+                raise ProofError(
+                    "trace line %d: %s" % (lineno, exc),
+                    rule_id="trace.syntax",
+                ) from exc
             continue
         if len(antecedents) < 2:
             raise ProofError(

@@ -4,6 +4,11 @@ A CDCL run logs every learned clause, but only the ones in the transitive
 antecedent cone of the final empty clause matter. Trimming computes that
 cone and can rebuild a compact store containing only the needed clauses,
 renumbered in a valid derivation order.
+
+The cone walk and the rebuild are the store's own
+(:meth:`~repro.proof.store.ReferenceProofStore.needed_ids` and
+:meth:`~repro.proof.store.ReferenceProofStore.rebuild`), so they run in
+C on the C store.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import time
 from typing import Any, Dict, Optional, Set, Tuple
 
-from .store import AXIOM, Chain, ProofError, ProofStore
+from .store import ProofStore
 
 
 def needed_ids(store: ProofStore, root_id: Optional[int] = None) -> Set[int]:
@@ -19,22 +24,7 @@ def needed_ids(store: ProofStore, root_id: Optional[int] = None) -> Set[int]:
 
     *root_id* defaults to the store's (first) empty clause.
     """
-    if root_id is None:
-        root_id = store.find_empty_clause()
-        if root_id is None:
-            raise ProofError(
-                "store has no empty clause to trim towards",
-                rule_id="proof.no-refutation",
-            )
-    needed: Set[int] = set()
-    stack = [root_id]
-    while stack:
-        clause_id = stack.pop()
-        if clause_id in needed:
-            continue
-        needed.add(clause_id)
-        stack.extend(store.antecedents(clause_id))
-    return needed
+    return store.needed_ids(root_id)
 
 
 def trim(
@@ -56,25 +46,14 @@ def trim(
     """
     instrumented = recorder is not None and recorder.enabled
     start = time.perf_counter() if instrumented else 0.0
-    keep = needed_ids(store, root_id)
+    keep = store.needed_ids(root_id)
     if instrumented:
         now = time.perf_counter()
         recorder.add_time("trim/cone", now - start)
         recorder.gauge("trim/total_clauses", len(store))
         recorder.gauge("trim/cone_clauses", len(keep))
         start = now
-    trimmed = ProofStore()
-    id_map: Dict[int, int] = {}
-    for clause_id in sorted(keep):
-        clause = store.clause(clause_id)
-        chain = store.chain(clause_id)
-        if store.kind(clause_id) == AXIOM or chain is None:
-            id_map[clause_id] = trimmed.add_axiom(clause)
-        else:
-            new_chain: Chain = [id_map[chain[0]]]
-            for pivot, antecedent_id in chain[1:]:
-                new_chain.append((pivot, id_map[antecedent_id]))
-            id_map[clause_id] = trimmed.add_derived(clause, new_chain)
+    trimmed, id_map = store.rebuild(keep)
     if instrumented:
         recorder.add_time("trim/rebuild", time.perf_counter() - start)
     return trimmed, id_map
@@ -84,4 +63,4 @@ def trim_ratio(store: ProofStore, root_id: Optional[int] = None) -> float:
     """Fraction of clauses surviving the trim, ``len(kept) / len(store)``."""
     if not len(store):
         return 1.0
-    return len(needed_ids(store, root_id)) / float(len(store))
+    return len(store.needed_ids(root_id)) / float(len(store))

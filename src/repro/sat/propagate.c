@@ -44,7 +44,7 @@
  * RuntimeError, so a callback cannot move the arrays under the search.
  * Tests read the state only through read-only snapshots (plain lists).
  *
- * The module is built on first import by repro.sat.native; it uses only
+ * The module is built on first import by repro.native; it uses only
  * API present in CPython 3.9.
  */
 #define PY_SSIZE_T_CLEAN

@@ -7,7 +7,7 @@ Luby restarts, and activity-based learned-clause deletion.  The public
 interface speaks DIMACS integers.
 
 :class:`Solver` is a thin Python class over ``Core``, a type of the C
-module ``propagate.c`` (built on first import by :mod:`repro.sat.native`).
+module ``propagate.c`` (built on first import by :mod:`repro.native`).
 The core owns the whole solver state as C arrays: a flat clause arena
 (each clause's proof id, activity, header and literals, addressed by its
 *ref*), per-literal values and watch lists, per-variable levels, reasons,
@@ -42,8 +42,8 @@ Incremental use: variables and clauses may be added between :meth:`solve`
 calls; learned clauses and their proofs persist.
 """
 
-from ..instrument import NULL_RECORDER
-from . import native
+from .. import native
+from ..instrument import NULL_RECORDER, get_logger
 from .reference import (
     SAT,
     UNKNOWN,
@@ -60,7 +60,10 @@ __all__ = [
     "luby", "propagate_kernel",
 ]
 
-_KERNEL = native.load()  # None: this host cannot build propagate.c
+_KERNEL = native.load(  # None: this host cannot build propagate.c
+    "repro.sat._propagate", get_logger("sat"),
+    "native search kernel unavailable, running the Python ReferenceSolver",
+)
 
 
 def propagate_kernel():

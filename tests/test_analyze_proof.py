@@ -122,6 +122,13 @@ class TestProofFiles:
         assert rules, findings
         assert all(r.startswith(("trace.", "proof.")) for r in rules)
 
+    def test_tracecheck_file_literal_past_63_bits(self, tmp_path):
+        path = str(tmp_path / "wide.tc")
+        with open(path, "w") as handle:
+            handle.write("1 9223372036854775808 0 0\n")
+        findings = lint_tracecheck_file(path)
+        assert [f.rule_id for f in findings] == ["trace.syntax"]
+
     def test_drup_file_clean(self, tmp_path):
         result = check_equivalence(parity_tree(4), parity_chain(4))
         trimmed, _ = trim(result.proof)

@@ -79,6 +79,15 @@ class TestInvalid:
     def test_missing_file(self, capsys):
         assert main(["/nonexistent.tc"]) == 3
 
+    @pytest.mark.parametrize("line", ["1 9223372036854775808 0 0",
+                                      "1 1 -1 0 0"])
+    def test_axiom_the_store_refuses_is_invalid_input(self, line, tmp_path,
+                                                      capsys):
+        bad = tmp_path / "bad.tc"
+        bad.write_text(line + "\n")
+        assert main([str(bad)]) == 3
+        assert capsys.readouterr().err.startswith("error: trace line 1: ")
+
     def test_bad_cnf_path(self, artifacts):
         trace, _, _ = artifacts
         assert main([trace, "--cnf", "/nonexistent.cnf"]) == 3

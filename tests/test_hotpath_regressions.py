@@ -149,7 +149,7 @@ class TestFindEmptyClauseCache:
         store = ProofStore()
         a = store.add_axiom((1,))
         b = store.add_axiom((-1,))
-        empty = store.derive_resolvent(a, b, 1)
+        empty = store.add_derived((), [a, (1, b)])
         # Pre-fix find_empty_clause enumerated _clauses on every call.
         store._clauses = _NoScan(store._clauses)
         assert store.find_empty_clause() == empty
@@ -164,7 +164,7 @@ class TestFindEmptyClauseCache:
         store = ProofStore()
         a = store.add_axiom((1,))
         b = store.add_axiom((-1,))
-        first = store.derive_resolvent(a, b, 1)
+        first = store.add_derived((), [a, (1, b)])
         store.add_axiom((2,))
         assert store.find_empty_clause() == first
 
@@ -173,8 +173,8 @@ class TestFindEmptyClauseCache:
         a = store.add_axiom((1, 2))
         b = store.add_axiom((-1, 2))
         c = store.add_axiom((-2,))
-        d = store.derive_resolvent(a, b, 1)       # (2)
-        empty = store.derive_resolvent(d, c, 2)   # ()
+        d = store.add_derived((2,), [a, (1, b)])
+        empty = store.add_derived((), [d, (2, c)])
         scan = next(
             (i for i in store.ids() if not store.clause(i)), None
         )

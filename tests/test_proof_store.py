@@ -90,11 +90,6 @@ class TestDerived:
         store, a, b = self.make_store()
         assert store.replay_chain([a, (1, b)]) == (2,)
 
-    def test_derive_resolvent(self):
-        store, a, b = self.make_store()
-        cid = store.derive_resolvent(a, b, 1)
-        assert store.clause(cid) == (2,)
-
     def test_find_empty_clause(self):
         store = ProofStore(validate=True)
         a = store.add_axiom([1])

@@ -25,7 +25,11 @@ cannot, ``Solver`` is ``ReferenceSolver``. These tests check that:
   ``__pycache__``, a corrupt cached module) still imports the solver,
   runs ``ReferenceSolver``, logs exactly one warning on ``repro.sat`` and
   produces the same add08 proof; and two processes building from an
-  empty cache at once both load a working module.
+  empty cache at once both load a working module. The proof store's
+  module (``src/repro/proof/store.c``) builds through the same loader:
+  without a compiler, or with its own ``__pycache__`` unusable, the
+  store is ``ReferenceProofStore`` (one warning on ``repro.proof``) and
+  the add08 proof is the same.
 """
 
 import hashlib
@@ -48,7 +52,7 @@ from repro.cnf.dimacs import read_dimacs
 from repro.core.cec import check_equivalence
 from repro.proof.tracecheck import dumps_tracecheck
 from repro.proof.trim import trim
-from repro.sat import native
+from repro import native
 from repro.sat.reference import ReferenceSolver
 from repro.sat.solver import SAT, Solver, propagate_kernel
 from test_solver_differential import (
@@ -316,8 +320,17 @@ CHILD = textwrap.dedent("""
             if record.levelno >= logging.WARNING:
                 messages.append(record.getMessage())
 
+    store_messages = []
+
+    class CollectStore(logging.Handler):
+        def emit(self, record):
+            if record.levelno >= logging.WARNING:
+                store_messages.append(record.getMessage())
+
     logging.getLogger("repro.sat").addHandler(Collect())
+    logging.getLogger("repro.proof").addHandler(CollectStore())
     import repro.sat.solver as solver_module
+    from repro.proof.store import store_kernel
     from repro.aig.aiger import read_aag
     from repro.core.cec import check_equivalence
     from repro.proof.tracecheck import dumps_tracecheck
@@ -333,6 +346,8 @@ CHILD = textwrap.dedent("""
         "reference": solver_module.Solver is ReferenceSolver,
         "gauge": result.stats["gauges"]["solver/kernel"],
         "warnings": messages,
+        "store": store_kernel(),
+        "store_warnings": store_messages,
         "digest": hashlib.sha256(text.encode()).hexdigest(),
     }))
 """)
@@ -348,6 +363,7 @@ class PackageCopy:
         shutil.copytree(SRC / "repro", self.src / "repro",
                         ignore=shutil.ignore_patterns("__pycache__"))
         self.cache = self.src / "repro" / "sat" / "__pycache__"
+        self.store_cache = self.src / "repro" / "proof" / "__pycache__"
         self.go = tmp_path / "go"
 
     def start(self, *flags):
@@ -394,6 +410,23 @@ class TestBuildFallback:
         report = package.run("no-compiler")
         self.assert_python_fallback(report, reference_digest,
                                     "/nonexistent/bin/cc")
+        assert report["store"] == "python"
+        assert len(report["store_warnings"]) == 1
+        assert "/nonexistent/bin/cc" in report["store_warnings"][0]
+        assert "ReferenceProofStore" in report["store_warnings"][0]
+
+    def test_store_pycache_is_not_a_directory(self, tmp_path,
+                                              reference_digest):
+        package = PackageCopy(tmp_path)
+        package.store_cache.write_text("not a directory\n")
+        report = package.run()
+        assert report["store"] == "python"
+        assert len(report["store_warnings"]) == 1
+        assert "__pycache__" in report["store_warnings"][0]
+        assert report["digest"] == reference_digest
+        if propagate_kernel() == "native":
+            assert report["kernel"] == "native"
+            assert report["warnings"] == []
 
     def test_pycache_is_not_a_directory(self, tmp_path, reference_digest):
         package = PackageCopy(tmp_path)
@@ -427,7 +460,7 @@ class TestBuildFallback:
     def test_corrupt_cached_module(self, tmp_path, reference_digest):
         package = PackageCopy(tmp_path)
         package.cache.mkdir(mode=0o755)
-        cached = package.cache / native.module_file()
+        cached = package.cache / native.module_file("repro.sat._propagate")
         cached.write_bytes(b"\x7fELF but not really a shared object\n")
         cached.chmod(0o755)
         report = package.run()
@@ -448,6 +481,19 @@ def test_concurrent_first_imports_both_load_the_kernel(tmp_path):
         assert report["reference"] is False
         assert report["gauge"] == "native"
         assert report["warnings"] == []
+        assert report["store"] == "native"
+        assert report["store_warnings"] == []
         assert report["digest"] == digest
     # One module in place, no build directory left behind.
-    assert package.kernel_files() == [native.module_file()]
+    assert package.kernel_files() == [native.module_file("repro.sat._propagate")]
+
+
+def test_package_data_ships_every_c_source():
+    # An installed package has only the files package-data lists; a
+    # missing source would make every such install run the Python class.
+    text = (ROOT / "pyproject.toml").read_text()
+    line = next(line for line in text.splitlines()
+                if line.startswith("repro = ["))
+    for source in native.SOURCES.values():
+        relative = Path(source).relative_to(native.PACKAGE).as_posix()
+        assert '"%s"' % relative in line, relative

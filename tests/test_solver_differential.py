@@ -22,7 +22,10 @@ Every test runs on both searches: the classes as written test
 ``Solver`` (the C search wherever it builds), and their ``...Python``
 subclasses at the end of the module test ``ReferenceSolver``, which is
 ``Solver`` on a host that cannot build the C search, against the same
-pinned fingerprints, proofs and models.
+pinned fingerprints, proofs and models. The add24 pins and the sweeps
+also run on both proof stores: their ``...PythonStore`` subclasses log
+into ``ReferenceProofStore``, the ``ProofStore`` of a host that cannot
+build the C store.
 """
 
 import hashlib
@@ -43,6 +46,7 @@ from repro.cnf.tseitin import tseitin_encode
 from repro.core import fraig
 from repro.core.cec import check_equivalence
 from repro.proof import ProofStore, check_proof
+from repro.proof.store import ReferenceProofStore
 from repro.proof.tracecheck import dumps_tracecheck
 from repro.proof.trim import trim
 from repro.sat.reference import ReferenceSolver
@@ -463,4 +467,23 @@ class TestAssumptionSolvesPython(PythonSearch, TestAssumptionSolves):
 
 
 class TestSweepSolvesPython(PythonSearch, TestSweepSolves):
+    pass
+
+
+class PythonStore:
+    """Mixin: run the inherited tests with ``ProofStore`` as a host
+    without the C store has it, the Python ``ReferenceProofStore``."""
+
+    @pytest.fixture(autouse=True)
+    def python_store(self, monkeypatch):
+        monkeypatch.setattr(sys.modules[__name__], "ProofStore",
+                            ReferenceProofStore)
+        monkeypatch.setattr(fraig, "ProofStore", ReferenceProofStore)
+
+
+class TestEquivalentMitersPythonStore(PythonStore, TestEquivalentMiters):
+    pass
+
+
+class TestSweepSolvesPythonStore(PythonStore, TestSweepSolves):
     pass

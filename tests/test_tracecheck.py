@@ -130,6 +130,16 @@ class TestParserErrors:
         with pytest.raises(ProofError, match="non-positive"):
             parse_tracecheck("0 1 0 0\n")
 
+    @pytest.mark.parametrize("line", [
+        "1 9223372036854775808 0 0",
+        "1 -9223372036854775808 0 0",
+        "1 1 -1 0 0",
+    ])
+    def test_axiom_the_store_refuses_is_a_syntax_error(self, line):
+        with pytest.raises(ProofError, match="trace line 2") as caught:
+            parse_tracecheck("1 1 0 0\n" + line.replace("1 ", "2 ", 1))
+        assert caught.value.rule_id == "trace.syntax"
+
 
 class TestCecTraces:
     def test_engine_proof_exports_and_reimports(self):
